@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -37,6 +38,10 @@ type generator struct {
 	churn *churner
 
 	resp response
+
+	// control marks a generator that drives the control server: every
+	// answer must be controlBody.
+	control bool
 }
 
 // liveWindow is how many versions behind the newest live one a pinned
@@ -81,6 +86,13 @@ func (g *generator) next(q *query) {
 // judge checks a completed response and accounts for it.
 func (g *generator) judge(q *query, r *response) verdict {
 	g.attempted++
+	if g.control {
+		if r.status != 200 || !bytes.Equal(r.body, controlBody) {
+			g.fail(fmt.Sprintf("control: status %d body %.80q", r.status, r.body))
+			return verdict{version: -1}
+		}
+		return verdict{ok: true, version: -1}
+	}
 	vd := g.chk.check(q, r)
 	if !vd.ok {
 		if r.status != 200 {
@@ -110,14 +122,15 @@ func (g *generator) redial(i int) error {
 type stage struct {
 	name    string
 	rate    float64
-	offered int     // arrivals scheduled in the stage
-	done    int     // responses received
-	failed  int     // errors, non-2xx and wrong answers
-	lat     []int64 // due time to last response byte, ns, sorted
-	p99w    float64 // windowed p99, µs
-	late    []int64 // send lateness of requests whose connection was idle at their due time, ns, sorted
-	lagEnd  int64   // due-to-send lag of the last request sent, ns
-	busy    int64   // generator time spent sending, reading and checking, ns
+	offered int       // arrivals scheduled in the stage
+	done    int       // responses received
+	failed  int       // errors, non-2xx and wrong answers
+	lat     []int64   // due time to last response byte, ns, sorted
+	p99w    float64   // windowed p99, µs
+	p50s    []float64 // for a stage merged from windows, each window's p50, µs
+	late    []int64   // send lateness of requests whose connection was idle at their due time, ns, sorted
+	lagEnd  int64     // due-to-send lag of the last request sent, ns
+	busy    int64     // generator time spent sending, reading and checking, ns
 	wall    int64
 	cpu     cpuTimes // server CPU used during the stage
 	steal   float64
@@ -311,6 +324,76 @@ func (g *generator) run(name string, rate float64, dur time.Duration, p99Window 
 	slices.Sort(st.lat)
 	slices.Sort(st.late)
 	return st, nil
+}
+
+// A pair of windows in runPaired gives rws-serve rwsWindow and the
+// control server controlWindow. The control server's p50 is steady
+// within a window of this length; rws-serve's varies more from window to
+// window (a GC cycle of its large heap, cache misses that depend on the
+// host), so it gets the larger share of the time.
+const (
+	rwsWindow     = 1500 * time.Millisecond
+	controlWindow = 500 * time.Millisecond
+)
+
+// runPaired runs the heavy rate for dur in pairs of windows, one on g
+// (rws-serve) and one on ctl (the control server), each pair in turn led
+// by the other server. It returns the windows of each server merged into
+// one stage.
+func runPaired(g, ctl *generator, w *workload, dur time.Duration, seed int64) (heavy, control *stage, err error) {
+	var gs, cs []*stage
+	for i := int64(0); i < int64(dur/(rwsWindow+controlWindow)); i++ {
+		order := []*generator{g, ctl}
+		if i%2 == 1 {
+			order[0], order[1] = ctl, g
+		}
+		for _, x := range order {
+			win := rwsWindow
+			if x == ctl {
+				win = controlWindow
+			}
+			st, err := x.run("heavy", w.heavy, win, w.p99Window, seed+1000*i)
+			if err != nil {
+				return nil, nil, err
+			}
+			if x == g {
+				gs = append(gs, st)
+			} else {
+				cs = append(cs, st)
+			}
+		}
+	}
+	if len(gs) == 0 {
+		return nil, nil, fmt.Errorf("heavy stage of %v is shorter than one pair of windows", dur)
+	}
+	return mergeStages("heavy", gs), mergeStages("control", cs), nil
+}
+
+// mergeStages sums stages run back to back at one rate into one. Its p99
+// is the median of theirs, as windowedP99 takes the median of windows.
+func mergeStages(name string, parts []*stage) *stage {
+	m := &stage{name: name, rate: parts[0].rate}
+	var p99s []float64
+	for _, st := range parts {
+		m.offered += st.offered
+		m.done += st.done
+		m.failed += st.failed
+		m.lat = append(m.lat, st.lat...)
+		m.late = append(m.late, st.late...)
+		m.lagEnd = max(m.lagEnd, st.lagEnd)
+		m.busy += st.busy
+		m.wall += st.wall
+		m.cpu.user += st.cpu.user
+		m.cpu.sys += st.cpu.sys
+		m.steal += st.steal * float64(st.wall)
+		p99s = append(p99s, st.p99w)
+		m.p50s = append(m.p50s, st.p50us())
+	}
+	m.steal /= float64(max(m.wall, 1))
+	m.p99w = median(p99s)
+	slices.Sort(m.lat)
+	slices.Sort(m.late)
+	return m
 }
 
 // probe sends one query on the first connection and waits for the

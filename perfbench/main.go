@@ -8,18 +8,23 @@
 // Usage, from the repository root (perfbench/run.sh builds both binaries
 // and pins this one to CPU 1):
 //
-//	bash perfbench/run.sh --workload embedded-point --seed 1 --seconds 20 --trace 0
+//	bash perfbench/run.sh --workload embedded-point --seed 1 --seconds 24 --trace 0
 //
 // With --trace 0 a run reports the end-to-end metrics: set-up time, RSS
-// and median latency at the workload's heavy rate. Server CPU per
-// request, the highest ladder rate that meets the workload's p99 limit
-// (slo_rps), latency at the light rate, p99s and swap times are printed
-// beside them but not reported: on a shared two-CPU VM their run-to-run
-// spread is wider than any bound worth gating on. With --trace 1 a run reports the per-layer
-// metrics instead: each layer's public functions timed in process, the
-// server's own counters under load, and the layer-ladder table that
-// splits CPU per request. Spans and the table are written under
-// .bench_build/trace/.
+// and p50_ratio.heavy, the median latency of rws-serve at the workload's
+// heavy rate divided by that of a control server, a minimal net/http
+// server this binary runs (-control) on CPU 0 beside rws-serve. The heavy
+// stage alternates short windows between the two servers, so drift
+// in what the shared host gives CPU 0, which moved rws-serve's own p50 by
+// a fifth between runs, cancels in the ratio. The absolute p50s are
+// printed beside it, as are server CPU per request, the highest ladder
+// rate that meets the workload's p99 limit (slo_rps), latency at the
+// light rate, p99s and swap times: on a shared two-CPU VM their
+// run-to-run spread is wider than any bound worth gating on. With
+// --trace 1 a run reports the per-layer metrics instead: each layer's
+// public functions timed in process, the server's own counters under
+// load, and the layer-ladder table that splits CPU per request. Spans and
+// the table are written under .bench_build/trace/.
 package main
 
 import (
@@ -56,10 +61,16 @@ func main() {
 	flag.StringVar(&o.workDir, "work-dir", ".bench_build", "directory for run files and traces")
 	flag.IntVar(&o.injectWrong, "inject-wrong", -1, "flip the oracle's expectation for the n-th checked response (self-test: the run must fail)")
 	spin := flag.Bool("spin", false, "spin forever (the idle-priority CPU 0 keeper the benchmark starts)")
+	control := flag.Bool("control", false, "serve as the control server the benchmark starts, on -addr")
+	addr := flag.String("addr", "", "with -control, the loopback address to listen on")
 	flag.Parse()
 	if *spin {
 		for {
 		}
+	}
+	if *control {
+		fmt.Fprintln(os.Stderr, "perfbench: control server:", serveControl(*addr))
+		os.Exit(1)
 	}
 	res, err := run(o)
 	if err != nil {
@@ -192,23 +203,25 @@ func bootMedian(w *workload, o options, in *inputs, dir string, env []string) (*
 }
 
 // stagePlan is the length of each stage for a run of the given seconds:
-// a fifth each for the light and heavy rates, and the rest for the
-// ladder walk.
+// a tenth for the light rate and two thirds for the heavy rate, shared
+// between rws-serve and the control server (see runPaired); the ladder
+// walk's rungs come on top.
 func stagePlan(w *workload, seconds int) (light, heavy, rung time.Duration) {
 	s := time.Duration(seconds) * time.Second
 	rung = w.rung
 	if rung == 0 {
-		rung = s / 20
+		rung = s / 30
 	}
-	return s / 5, s / 5, rung
+	return s / 10, 2 * s / 3, rung
 }
 
 // warmup is an unmeasured stage that lets caches fill and lazy set-up
 // finish before timing.
 const warmup = time.Second
 
-// connections is the number of client connections: nproc of the
-// two-CPU box the benchmark is built for.
+// connections is the number of client connections to each server: nproc
+// of the two-CPU box the benchmark is built for. Only one server's
+// connections carry requests at a time.
 const connections = 2
 
 // lateBound is the generator's own send lateness, p99, above which a run
@@ -245,10 +258,25 @@ func runEndToEnd(w *workload, o options, in *inputs, dir string) (*result, error
 	if err != nil {
 		return nil, err
 	}
-	heavy, err := g.run("heavy", w.heavy, heavyDur, w.p99Window, seed+2)
+	ctl, err := startControl(dir)
 	if err != nil {
 		return nil, err
 	}
+	defer ctl.stop()
+	gc, err := newGenerator(in.u, in.chk, ctl, connections, o.seed, newMix(w.weights))
+	if err != nil {
+		return nil, err
+	}
+	defer gc.close()
+	gc.control = true
+	if _, err := gc.run("warmup", w.light, warmup, w.p99Window, seed); err != nil {
+		return nil, err
+	}
+	heavy, ctlHeavy, err := runPaired(g, gc, w, heavyDur, seed+2)
+	if err != nil {
+		return nil, err
+	}
+	ratio := heavy.p50us() / ctlHeavy.p50us()
 	// RSS after the fixed stages, before the ladder walk, whose length
 	// depends on the code under test.
 	rss, err := srv.rssMB()
@@ -275,26 +303,33 @@ func runEndToEnd(w *workload, o options, in *inputs, dir string) (*result, error
 	for _, st := range stages {
 		printStage(st, w.p99)
 	}
-	late := mergeSorted(stages, func(s *stage) []int64 { return s.late })
+	printStage(ctlHeavy, w.p99)
+	fmt.Printf("heavy windows, rws-serve p50 %s µs\nheavy windows, control p50 %s µs\n", fmtFloats(heavy.p50s, "%.1f"), fmtFloats(ctlHeavy.p50s, "%.1f"))
+	fmt.Printf("p50_us.heavy %.2f, control %.2f over %d window pairs; p50_ratio.heavy %.4f\n", heavy.p50us(), ctlHeavy.p50us(), len(heavy.p50s), ratio)
+	late := mergeSorted(append(stages, ctlHeavy), func(s *stage) []int64 { return s.late })
 	lateP99 := pct(late, 0.99)
 	slo := sloRate(w, stages)
 	fmt.Printf("swaps: n=%d median %.1f ms %s\n", len(swaps), median(swaps), fmtFloats(swaps, "%.1f"))
 	fmt.Printf("cpu_us_per_req %.2f at %.0f/s; slo_rps %.0f (p99 limit %v); generator lateness p99 %.1f µs over %d idle sends\n", heavy.cpuPerReq(), w.heavy, slo, w.p99, lateP99, len(late))
-	fmt.Printf("attempted %d failed %d fail_ratio %.6f box.steal_share %.4f\n", g.attempted, g.failed, float64(g.failed)/float64(max(g.attempted, 1)), stealShare(box0, readBoxCPU()))
+	attempted, failed := g.attempted+gc.attempted, g.failed+gc.failed
+	fmt.Printf("attempted %d failed %d fail_ratio %.6f box.steal_share %.4f\n", attempted, failed, float64(failed)/float64(max(attempted, 1)), stealShare(box0, readBoxCPU()))
 	for reason, n := range g.failures {
 		fmt.Printf("  failure %q x%d\n", reason, n)
+	}
+	for reason, n := range gc.failures {
+		fmt.Printf("  control failure %q x%d\n", reason, n)
 	}
 	if lateP99 > float64(lateBound.Microseconds()) {
 		return nil, fmt.Errorf("invalid run: generator send lateness p99 %.1f µs exceeds %v", lateP99, lateBound)
 	}
 	return &result{
-		Correct:   g.failed == 0 && g.attempted > 0,
-		Attempted: g.attempted,
-		Failed:    g.failed,
+		Correct:   failed == 0 && attempted > 0,
+		Attempted: attempted,
+		Failed:    failed,
 		Metrics: map[string]metric{
-			"setup_s":      {setup, "s"},
-			"rss_mb":       {rss, "MB"},
-			"p50_us.heavy": {heavy.p50us(), "us"},
+			"setup_s":         {setup, "s"},
+			"rss_mb":          {rss, "MB"},
+			"p50_ratio.heavy": {ratio, "ratio"},
 		},
 	}, nil
 }

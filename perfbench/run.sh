@@ -2,7 +2,7 @@
 # Builds rws-serve and the benchmark driver from this checkout's source,
 # then runs the driver pinned to CPU 1 (it starts rws-serve on CPU 0).
 #
-#   bash perfbench/run.sh --workload embedded-point --seed 1 --seconds 20 --trace 0
+#   bash perfbench/run.sh --workload embedded-point --seed 1 --seconds 24 --trace 0
 #
 # Run from the repository root. Build caches, binaries and run files stay
 # under .bench_build/ in the current directory.

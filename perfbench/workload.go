@@ -21,12 +21,12 @@ type workload struct {
 	light   float64   // req/s
 	heavy   float64   // req/s
 	ladder  []float64 // req/s above heavy, walked upward until a rung misses the SLO
-	// rung is how long each ladder rung runs; 0 means a twentieth of the
-	// run.
+	// rung is how long each ladder rung runs; 0 means a thirtieth of
+	// the run.
 	rung time.Duration
 	p99  time.Duration
 	// p99Window is the number of requests per p99 window (see
-	// windowedP99); 0 pools the whole stage.
+	// windowedPct); 0 pools the whole stage.
 	p99Window int
 	boots     int // set-ups per run; setup_s is their median
 	// serveArgs are passed to rws-serve after -addr and -list.
@@ -69,9 +69,9 @@ var workloads = []*workload{
 		light:   1000, heavy: 4000,
 		ladder: ladderRange(15000, 1500, 31),
 		// A GC cycle marks the large live heap for about half a second on
-		// the server's one P; two-second rungs keep it to a minority of a
-		// rung's p99 windows wherever it lands.
-		rung:      2 * time.Second,
+		// the server's one P; rungs of a second and a half keep it to a
+		// third of a rung's p99 windows wherever it lands.
+		rung:      1500 * time.Millisecond,
 		p99:       10 * time.Millisecond,
 		p99Window: 1000,
 		boots:     3,
