@@ -20,7 +20,9 @@
 //	           set; any issue fails the run
 //	-build     build a serve snapshot from the generated list (sharded
 //	           parallel construction, honoring -shards/-mem-budget) and
-//	           report build time and memory, instead of emitting JSON
+//	           report build time, memory and the budget tier ("full", or
+//	           "list-dropped" when only the query tables fit), instead of
+//	           emitting JSON
 package main
 
 import (
@@ -148,7 +150,6 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "build_shards         %d\n", info.Shards)
 		fmt.Fprintf(stdout, "estimated_bytes      %d\n", info.EstimatedBytes)
 		fmt.Fprintf(stdout, "memory_budget        %d\n", info.MemoryBudget)
-		fmt.Fprintf(stdout, "prebaked_set_dropped %v\n", info.PrebakedSetsDropped)
 		fmt.Fprintf(stdout, "snapshot_tier        %s\n", info.Tier)
 		fmt.Fprintf(stdout, "heap_delta_bytes     %d\n", int64(after.HeapAlloc)-int64(before.HeapAlloc))
 		return nil

@@ -227,9 +227,9 @@ func TestFlagValidation(t *testing.T) {
 const allocText = `goos: linux
 pkg: rwskit/internal/serve
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkHandlerSameSetPrebaked-2   	 1425738	       836.5 ns/op	       0 B/op	       0 allocs/op
-BenchmarkHandlerSameSetPrebaked-2   	 1425738	       839.1 ns/op	       0 B/op	       0 allocs/op
-BenchmarkHandlerStatsPrebaked-2     	 3065910	       391.4 ns/op	       0 B/op	       0 allocs/op
+BenchmarkHandlerSameSetZeroAlloc-2  	 1425738	       836.5 ns/op	       0 B/op	       0 allocs/op
+BenchmarkHandlerSameSetZeroAlloc-2  	 1425738	       839.1 ns/op	       0 B/op	       0 allocs/op
+BenchmarkHandlerStatsZeroAlloc-2    	 3065910	       391.4 ns/op	       0 B/op	       0 allocs/op
 BenchmarkHandlerSameSet-2           	  600000	      1998.0 ns/op	    1008 B/op	       8 allocs/op
 BenchmarkStoreDiffCached-2          	  100000	       800.0 ns/op
 PASS
@@ -239,7 +239,7 @@ func TestAssertZeroAlloc(t *testing.T) {
 	cur := writeFile(t, "cur.txt", allocText)
 	// Clean benchmarks pass and are reported.
 	var sb strings.Builder
-	if err := run([]string{"-current", cur, "-assert-zero-alloc", "Prebaked$"}, &sb); err != nil {
+	if err := run([]string{"-current", cur, "-assert-zero-alloc", "ZeroAlloc$"}, &sb); err != nil {
 		t.Fatalf("clean assertion failed: %v\n%s", err, sb.String())
 	}
 	if !strings.Contains(sb.String(), "hold 0 allocs/op") {
@@ -266,7 +266,7 @@ func TestAssertZeroAlloc(t *testing.T) {
 	}
 	// The assertion composes with a baseline comparison and runs first.
 	base := writeFile(t, "base.txt", allocText)
-	if err := run([]string{"-current", cur, "-baseline", base, "-assert-zero-alloc", "Prebaked$"}, &sb); err != nil {
+	if err := run([]string{"-current", cur, "-baseline", base, "-assert-zero-alloc", "ZeroAlloc$"}, &sb); err != nil {
 		t.Fatalf("assertion + gate: %v\n%s", err, sb.String())
 	}
 }

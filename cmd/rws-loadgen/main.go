@@ -15,7 +15,7 @@
 //
 // -fast swaps net/http for a minimal built-in HTTP/1.1 client (plain
 // http targets only), removing ~30µs/request of client-side overhead so
-// a single small load box can saturate the prebaked serving plane.
+// a single small load box can saturate the zero-alloc serving plane.
 //
 // -targets runs the same mix against several endpoints at once — a
 // leader plus its /v1/list followers — spreading requests round-robin

@@ -12,13 +12,12 @@
 // snapshot is served. -amplify N boots from a deterministic synthetic
 // list of N sets instead (rws-amplify's generator; -amplify-seed picks
 // the seed) — the scale-tier target for load and soak testing. -mem-budget
-// caps the estimated bytes of each snapshot's derived tables; over
-// budget the snapshot degrades in tiers — the prebaked wire-format
-// response bytes go first (tier "resp-dropped", the endpoints fall back
-// to live encoding of the same values), then the prebaked /v1/set
-// slices (tier "sets-dropped"); the tier is reported in /v1/metrics
-// under snapshot_build, and a list that cannot fit even fully degraded
-// is rejected. -list accepts a local JSON file path or an
+// caps the estimated bytes of each snapshot's derived tables: a list
+// whose query tables (host index, /v1/set member table, role tables) do
+// not fit is rejected, and when they fit but the /v1/list export body
+// does not, the snapshot keeps the query tables only (tier
+// "list-dropped": /v1/list encodes the list per request, same bytes);
+// the tier is reported in /v1/metrics under snapshot_build. -list accepts a local JSON file path or an
 // http(s):// URL (the upstream related_website_sets.JSON). Either way
 // the list is hot-swapped without dropping traffic: SIGHUP forces a
 // re-read, and -poll re-checks on a ticker — a stat(2) gated on
@@ -267,7 +266,7 @@ func newServer(cfg config, list *core.List, meta source.Meta) (*serve.Server, er
 			return nil, fmt.Errorf("boot list: %w", err)
 		}
 		if info := snap.BuildInfo(); info.Tier != "" && info.Tier != "full" {
-			fmt.Fprintf(os.Stderr, "rws-serve: memory budget %d degraded the snapshot to tier %q (estimated %d bytes retained)\n",
+			fmt.Fprintf(os.Stderr, "rws-serve: memory budget %d left no room for the /v1/list export body: tier %q, /v1/list encodes per request (estimated %d bytes retained)\n",
 				info.MemoryBudget, info.Tier, info.EstimatedBytes)
 		}
 	}
@@ -308,7 +307,7 @@ func parseFlags(args []string) (config, error) {
 	r := fs.Int("retain", serve.DefaultRetain, "list versions kept queryable (widened to fit -timeline)")
 	amp := fs.Int("amplify", 0, "boot from a synthetic amplified list of N sets (scale testing; excludes -list/-timeline)")
 	ampSeed := fs.Int64("amplify-seed", 1, "seed for -amplify (same seed reproduces the same list)")
-	mb := fs.Int64("mem-budget", 0, "snapshot memory budget in bytes, 0 = unlimited (degrades before failing; see /v1/metrics)")
+	mb := fs.Int64("mem-budget", 0, "snapshot memory budget in bytes, 0 = unlimited (a list whose query tables do not fit is rejected; the /v1/list export body is kept only if it fits too; see /v1/metrics)")
 	sp := fs.Bool("strict-params", false, "reject unknown query parameters with a bad_request envelope on every endpoint (new endpoints always enforce)")
 	if err := fs.Parse(args); err != nil {
 		return config{}, err

@@ -372,8 +372,8 @@ func TestRunAmplified(t *testing.T) {
 	if m.SnapshotBuild.Shards < 1 || m.SnapshotBuild.EstimatedBytes <= 0 {
 		t.Errorf("snapshot_build = %+v", m.SnapshotBuild)
 	}
-	if m.SnapshotBuild.PrebakedSetsDropped {
-		t.Error("unbudgeted boot should keep prebaked set slices")
+	if m.SnapshotBuild.Tier != "full" {
+		t.Errorf("unbudgeted boot tier = %q, want full", m.SnapshotBuild.Tier)
 	}
 
 	cancel()

@@ -382,11 +382,11 @@ func BenchmarkHandlerChurn(b *testing.B) {
 	}
 }
 
-// benchPrebaked measures one fast-path endpoint through the full
+// benchZeroAlloc measures one query endpoint through the full
 // Server.ServeHTTP stack with a reusable discard writer, so the reported
 // allocs/op are the handler's own — the value the benchgate's
 // zero-alloc assertion gates.
-func benchPrebaked(b *testing.B, path string) {
+func benchZeroAlloc(b *testing.B, path string) {
 	b.Helper()
 	list, err := dataset.List()
 	if err != nil {
@@ -395,7 +395,7 @@ func benchPrebaked(b *testing.B, path string) {
 	s := New(list)
 	req := httptest.NewRequest(http.MethodGet, path, nil)
 	rw := newDiscardRW()
-	s.ServeHTTP(rw, req) // warm the buffer pools
+	s.ServeHTTP(rw, req) // warm the buffer pool
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -406,32 +406,33 @@ func benchPrebaked(b *testing.B, path string) {
 	}
 }
 
-// BenchmarkHandlerSameSetPrebaked is the zero-alloc prebaked member-pair
-// path: raw-query parse, host lookups, fragment splice, pooled write.
-func BenchmarkHandlerSameSetPrebaked(b *testing.B) {
-	benchPrebaked(b, "/v1/sameset?a=bild.de&b=autobild.de")
+// BenchmarkHandlerSameSetZeroAlloc is a member-pair sameset query: query
+// scan, two host lookups, encode, pooled write.
+func BenchmarkHandlerSameSetZeroAlloc(b *testing.B) {
+	benchZeroAlloc(b, "/v1/sameset?a=bild.de&b=autobild.de")
 }
 
-// BenchmarkHandlerSetPrebaked splices the prebaked members array whole.
-func BenchmarkHandlerSetPrebaked(b *testing.B) {
-	benchPrebaked(b, "/v1/set?site=webvisor.com")
+// BenchmarkHandlerSetZeroAlloc encodes a set's member-table row.
+func BenchmarkHandlerSetZeroAlloc(b *testing.B) {
+	benchZeroAlloc(b, "/v1/set?site=webvisor.com")
 }
 
-// BenchmarkHandlerPartitionPrebaked is the prebaked verdict path for a
+// BenchmarkHandlerPartitionZeroAlloc is the verdict-table path for a
 // list-member pair.
-func BenchmarkHandlerPartitionPrebaked(b *testing.B) {
-	benchPrebaked(b, "/v1/partition?top=bild.de&embedded=autobild.de")
+func BenchmarkHandlerPartitionZeroAlloc(b *testing.B) {
+	benchZeroAlloc(b, "/v1/partition?top=bild.de&embedded=autobild.de")
 }
 
-// BenchmarkHandlerStatsPrebaked splices the live counters into the
-// prebaked stats body.
-func BenchmarkHandlerStatsPrebaked(b *testing.B) {
-	benchPrebaked(b, "/v1/stats")
+// BenchmarkHandlerStatsZeroAlloc encodes the stats body around the live
+// counters.
+func BenchmarkHandlerStatsZeroAlloc(b *testing.B) {
+	benchZeroAlloc(b, "/v1/stats")
 }
 
 // BenchmarkHandlerList is the replication export's full-body path: what
 // the leader pays when a follower's validator misses (or on its first
-// poll). The body is prebaked; the cost is resolution plus one copy.
+// poll). The body is encoded at snapshot build; the cost is resolution
+// plus one copy.
 func BenchmarkHandlerList(b *testing.B) {
 	list, err := dataset.List()
 	if err != nil {

@@ -145,10 +145,10 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 	if !requireGET(w, r) {
 		return
 	}
-	q := r.URL.Query()
-	if !s.checkParams(w, r, q, paramsChurn, false) {
+	if !s.checkParams(w, r, paramsChurn, false) {
 		return
 	}
+	q := r.URL.Query()
 	granularity, ok := churnGranularity(q.Get("granularity"))
 	if !ok {
 		badRequest(w, r, "granularity %q: want step, month, or total", q.Get("granularity"))

@@ -106,18 +106,19 @@ func (c *diffCache) get(from, to string) (core.Diff, bool) {
 	return d, true
 }
 
-// peek reports whether (from, to) is cached, refreshing its recency but
-// touching no hit/miss counter — the swap path uses it to skip
-// recomputing a diff a flapping source already paid for, without
-// polluting the request-path statistics.
-func (c *diffCache) peek(from, to string) bool {
+// peek is get without the hit/miss counters — the swap path uses it to
+// skip recomputing a diff a flapping source already paid for, and Diff
+// to pick up a flight that finished under it, without polluting the
+// request-path statistics.
+func (c *diffCache) peek(from, to string) (core.Diff, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byK[diffKey{from: from, to: to}]
-	if ok {
-		c.ll.MoveToFront(el)
+	if !ok {
+		return core.Diff{}, false
 	}
-	return ok
+	c.ll.MoveToFront(el)
+	return el.Value.(*diffItem).d, true
 }
 
 // put memoizes d for (from, to), evicting the least recently used entry

@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"rwskit/internal/core"
 )
 
 // This file is the v1 API contract layer: the machine-readable error
@@ -56,9 +58,9 @@ func writeNotModified(w http.ResponseWriter) {
 // matches the snapshot's strong validator. Each header value may be a
 // comma-separated list; weak-prefixed (`W/"..."`) entries compare by the
 // quoted part (If-None-Match uses weak comparison per RFC 9110 §13.1.2),
-// and `*` matches any current representation. Runs on the prebaked
-// request path, so it scans without allocating (strings.Cut, TrimSpace,
-// and TrimPrefix all return subslices).
+// and `*` matches any current representation. Runs on every conditional
+// query, so it scans without allocating (strings.Cut, TrimSpace, and
+// TrimPrefix all return subslices).
 //
 //rws:hotpath
 func etagMatches(values []string, etag string) bool {
@@ -81,38 +83,39 @@ func etagMatches(values []string, etag string) bool {
 	return false
 }
 
-// notModified evaluates a request's conditional headers against the
-// snapshot's validators: If-None-Match wins when present (RFC 9110
-// §13.2.2 evaluation order), otherwise If-Modified-Since compares
-// against the version's as-of time at second granularity (HTTP dates
-// carry no sub-second precision).
-func notModified(r *http.Request, etag string, asOf time.Time) bool {
-	if inm, ok := r.Header["If-None-Match"]; ok {
-		return etagMatches(inm, etag)
-	}
-	// A zero asOf means the caller had no version time in hand (the
-	// prebaked fast paths); date comparison against it would 304
-	// unconditionally, so only the ETag validator applies there.
-	if ims := r.Header.Get("If-Modified-Since"); ims != "" && !asOf.IsZero() {
-		if t, err := http.ParseTime(ims); err == nil {
-			return !asOf.Truncate(time.Second).After(t)
-		}
-	}
-	return false
-}
-
 // conditionalDone installs the snapshot's strong validator on the
 // response and answers a still-matching conditional request with 304;
 // it reports true when the 304 was written and the handler is done.
-// Called after request validation (a malformed request must stay 400,
-// per RFC 9110 §13.2.2 preconditions apply only to requests that would
-// otherwise succeed) and before the body write, so the prebaked paths
-// skip assembly entirely on a revalidation hit.
-func conditionalDone(w http.ResponseWriter, r *http.Request, snap *Snapshot, asOf time.Time) bool {
+// If-None-Match wins when present (RFC 9110 §13.2.2 evaluation order);
+// otherwise If-Modified-Since is compared with the resolved version's
+// as-of time. Called after request validation (a malformed request must
+// stay 400: preconditions apply only to requests that would otherwise
+// succeed) and before the body is encoded, so a revalidation hit skips
+// the encode entirely.
+func (s *Server) conditionalDone(w http.ResponseWriter, r *http.Request, snap *Snapshot, ver core.Version) bool {
 	w.Header()["Etag"] = snap.etagHeader
-	if notModified(r, snap.etag, asOf) {
-		writeNotModified(w)
-		return true
+	if inm, ok := r.Header["If-None-Match"]; ok {
+		if !etagMatches(inm, snap.etag) {
+			return false
+		}
+	} else if ims := r.Header["If-Modified-Since"]; len(ims) == 0 || !s.unmodifiedSince(ims[0], snap, ver) {
+		return false
 	}
-	return false
+	writeNotModified(w)
+	return true
+}
+
+// unmodifiedSince reports whether the version a request resolved to is
+// as of no later than an If-Modified-Since date, at second granularity
+// (HTTP dates carry no sub-second precision). An unversioned request
+// resolved lock-free and carries a zero descriptor, so the store is
+// asked for it here, off the common path. An unparseable date, a version
+// with no as-of time, or a snapshot evicted since resolution counts as
+// modified.
+func (s *Server) unmodifiedSince(ims string, snap *Snapshot, ver core.Version) bool {
+	if ver.Hash == "" {
+		_, ver, _ = s.store.ByHash(snap.hash)
+	}
+	t, err := http.ParseTime(ims)
+	return err == nil && !ver.AsOf.IsZero() && !ver.AsOf.Truncate(time.Second).After(t)
 }

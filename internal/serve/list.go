@@ -22,12 +22,18 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	if !requireGET(w, r) {
 		return
 	}
-	snap, ver, ok := s.resolveQuery(w, r, r.URL.Query(), paramsVersioned, true)
+	var q query
+	scanQuery(r.URL.RawQuery, &q)
+	snap, ver, ok := s.resolveQuery(w, r, &q, paramsVersioned, true)
 	if !ok {
 		return
 	}
+	if ver.Hash == "" {
+		// The export's headers need the version descriptor: take it
+		// together with the current snapshot as one consistent pair.
+		snap, ver, _ = s.store.ByHash("")
+	}
 	h := w.Header()
-	h["Etag"] = snap.etagHeader
 	// no-cache (not no-store): caches may hold the body but must
 	// revalidate — exactly the 304 loop followers run. A poll interval is
 	// the freshness contract here, not a TTL.
@@ -36,16 +42,14 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	h.Set("X-RWS-Version", snap.hash)
 	h.Set("X-RWS-As-Of", ver.AsOf.UTC().Format(time.RFC3339Nano))
 	h.Set("X-RWS-Swapped-At", ver.ObservedAt.UTC().Format(time.RFC3339Nano))
-	if notModified(r, snap.etag, ver.AsOf) {
-		writeNotModified(w)
+	if s.conditionalDone(w, r, snap, ver) {
 		return
 	}
-	if snap.respList != nil && !prettyRequested(r) {
-		writeRawJSON(w, http.StatusOK, snap.respList)
+	if snap.respList != nil {
+		writeBody(w, r, http.StatusOK, q.pretty(), snap.respList)
 		return
 	}
-	// Budget-degraded tiers (and ?pretty=1) fall back to the live encode;
-	// *core.List marshals to the same canonical bytes respList was baked
-	// from.
+	// Under the list-dropped tier the export is encoded per request;
+	// *core.List marshals to the same canonical bytes respList holds.
 	writeJSON(w, r, http.StatusOK, snap.list)
 }

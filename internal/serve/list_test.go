@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"rwskit/internal/core"
 )
@@ -174,8 +175,8 @@ func TestListConditionalGet(t *testing.T) {
 }
 
 // TestConditionalGetOnQueryEndpoints: every snapshot-derived GET
-// endpoint carries the snapshot's ETag and honours If-None-Match before
-// assembling a body, including on the prebaked fast paths.
+// endpoint carries the snapshot's ETag and honours If-None-Match and
+// If-Modified-Since before encoding a body.
 func TestConditionalGetOnQueryEndpoints(t *testing.T) {
 	s, ts := newTestServer(t)
 	snap := currentSnap(t, s)
@@ -203,13 +204,11 @@ func TestConditionalGetOnQueryEndpoints(t *testing.T) {
 			t.Errorf("%s: conditional GET = %d with %d bytes, want bare 304", path, resp.StatusCode, len(body))
 		}
 
-		// The fast paths carry no version time, so a date validator alone
-		// must not revalidate there (only the ETag is authoritative).
 		resp = getWith(t, ts.URL+path, map[string]string{"If-Modified-Since": "Mon, 01 Jan 2990 00:00:00 GMT"})
-		io.Copy(io.Discard, resp.Body)
+		body, _ = io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s: IMS-only fast path = %d, want 200", path, resp.StatusCode)
+		if resp.StatusCode != http.StatusNotModified || len(body) != 0 {
+			t.Errorf("%s: If-Modified-Since after the as-of time = %d with %d bytes, want bare 304", path, resp.StatusCode, len(body))
 		}
 
 		resp = getWith(t, ts.URL+path, map[string]string{"If-None-Match": `"deadbeef"`})
@@ -227,6 +226,37 @@ func TestConditionalGetOnQueryEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed conditional request: status = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestIfModifiedSinceIgnoresQueryShape: a date validator decides the
+// same way whatever else the query carries — a no-op &pretty=0 must not
+// turn If-Modified-Since on or off.
+func TestIfModifiedSinceIgnoresQueryShape(t *testing.T) {
+	_, ts := newTestServer(t)
+	now := time.Now()
+	for _, path := range []string{
+		"/v1/sameset?a=bild.de&b=autobild.de",
+		"/v1/set?site=webvisor.com",
+		"/v1/partition?top=bild.de&embedded=autobild.de",
+		"/v1/stats?",
+	} {
+		for _, shape := range []string{path, path + "&pretty=0"} {
+			for _, tc := range []struct {
+				ims  time.Time
+				want int
+			}{
+				{now.Add(time.Hour), http.StatusNotModified},
+				{now.Add(-time.Hour), http.StatusOK},
+			} {
+				resp := getWith(t, ts.URL+shape, map[string]string{"If-Modified-Since": tc.ims.UTC().Format(http.TimeFormat)})
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != tc.want {
+					t.Errorf("%s with If-Modified-Since %s: status %d, want %d", shape, tc.ims.Sub(now), resp.StatusCode, tc.want)
+				}
+			}
+		}
 	}
 }
 

@@ -2,17 +2,22 @@ package serve
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"sort"
 	"testing"
 
 	"rwskit/internal/amplify"
+	"rwskit/internal/browser"
 	"rwskit/internal/core"
 	"rwskit/internal/dataset"
 )
 
 // equalSnapshots holds two snapshots to exact equality across every
 // public query surface and the precomputed verdict tables: host-index
-// answers for every member site (plus off-list probes), prebuilt /v1/set
-// slices, role tables, composition stats, and the full per-policy
+// answers for every member site (plus off-list probes), the /v1/set
+// member table, role tables, composition stats, and the full per-policy
 // sameSet/cross verdict tables.
 func equalSnapshots(t *testing.T, label string, got, want *Snapshot) {
 	t.Helper()
@@ -97,49 +102,85 @@ func equalSnapshots(t *testing.T, label string, got, want *Snapshot) {
 			}
 		}
 	}
-	equalPrebakedTables(t, label, got, want)
+	equalMemberTables(t, label, got, want)
 }
 
-// equalPrebakedTables holds the prebaked response plane of two snapshots
-// byte-equal: member fragments, sameset tails, partition heads/tails per
-// policy and cell, and the stats prefix.
-func equalPrebakedTables(t *testing.T, label string, got, want *Snapshot) {
+// equalMemberTables holds the /v1/set member tables of two snapshots
+// equal row by row, in set-index order.
+func equalMemberTables(t *testing.T, label string, got, want *Snapshot) {
 	t.Helper()
-	if got.respBaked != want.respBaked {
-		t.Fatalf("%s: respBaked %v != %v", label, got.respBaked, want.respBaked)
+	if len(got.members) != len(want.members) {
+		t.Fatalf("%s: member table has %d rows, want %d", label, len(got.members), len(want.members))
 	}
-	eq := func(what string, g, w []byte) {
-		t.Helper()
-		if string(g) != string(w) {
-			t.Fatalf("%s: prebaked %s = %q, want %q", label, what, g, w)
+	for i := range want.members {
+		g, w := got.members[i], want.members[i]
+		if len(g) != len(w) {
+			t.Fatalf("%s: members[%d] has %d entries, want %d", label, i, len(g), len(w))
 		}
-	}
-	if len(got.respMembers) != len(want.respMembers) || len(got.respSameTail) != len(want.respSameTail) {
-		t.Fatalf("%s: prebaked table sizes (%d, %d) != (%d, %d)", label,
-			len(got.respMembers), len(got.respSameTail), len(want.respMembers), len(want.respSameTail))
-	}
-	for i := range want.respMembers {
-		eq(fmt.Sprintf("members[%d]", i), got.respMembers[i], want.respMembers[i])
-		eq(fmt.Sprintf("sameTail[%d]", i), got.respSameTail[i], want.respSameTail[i])
-	}
-	for pid := 0; pid < int(numPolicies); pid++ {
-		eq(fmt.Sprintf("partHead[%d]", pid), got.respPartHead[pid], want.respPartHead[pid])
-		eq(fmt.Sprintf("partCross[%d]", pid), got.respPartCross[pid], want.respPartCross[pid])
-		eq(fmt.Sprintf("partHostSame[%d]", pid), got.respPartHostSame[pid], want.respPartHostSame[pid])
-		eq(fmt.Sprintf("partHostCross[%d]", pid), got.respPartHostCross[pid], want.respPartHostCross[pid])
-		for r1 := 0; r1 < numRoles; r1++ {
-			for r2 := 0; r2 < numRoles; r2++ {
-				eq(fmt.Sprintf("partSame[%d][%d][%d]", pid, r1, r2),
-					got.respPartSame[pid][r1][r2], want.respPartSame[pid][r1][r2])
+		for j := range w {
+			if g[j] != w[j] {
+				t.Fatalf("%s: members[%d][%d] = %+v, want %+v", label, i, j, g[j], w[j])
 			}
 		}
 	}
-	eq("statsPrefix", got.respStatsPrefix, want.respStatsPrefix)
 }
 
-// TestParallelSnapshotMatchesSerial is the tentpole's equivalence
+// buildSerial is the single-threaded reference construction the parallel
+// build is held to: one pass over the sets in list order filling a
+// single-shard host index, the member table, and the role tables, then a
+// full-scan verdict builder per policy.
+func buildSerial(list *core.List) *Snapshot {
+	s := newSnapshot(list, 1)
+	hosts := make(map[string]hostEntry, s.numSites)
+	for i, set := range s.sets {
+		ms := set.Members()
+		row := make([]SetMember, len(ms))
+		for j, m := range ms {
+			row[j] = SetMember{Site: m.Site, Role: m.Role.String(), AliasOf: m.AliasOf}
+			hosts[m.Site] = hostEntry{set: set, setIdx: int32(i), role: m.Role}
+			s.byRole[m.Role] = append(s.byRole[m.Role], m.Site)
+		}
+		s.members[i] = row
+	}
+	s.hostShards[0] = hosts
+	for r := range s.byRole {
+		sort.Strings(s.byRole[r])
+	}
+	for pid := range s.policies {
+		buildVerdictsSerial(s, policyID(pid))
+	}
+	return s
+}
+
+// buildVerdictsSerial fills the partition-verdict tables for one policy
+// by running the fresh-profile simulation once per reachable cell, using
+// the first member pair (in list order, then Members order) exhibiting
+// each (topRole, embRole) combination.
+func buildVerdictsSerial(s *Snapshot, pid policyID) {
+	live := s.policies[pid].live
+	v := browser.EvaluateFresh(live, "cross-top.invalid", "cross-embedded.invalid")
+	s.cross[pid] = verdict{decision: v.Decision, granted: v.Granted, filled: true}
+	for _, set := range s.sets {
+		ms := set.Members()
+		for _, top := range ms {
+			for _, emb := range ms {
+				if top.Site == emb.Site {
+					continue
+				}
+				cell := &s.sameSet[pid][top.Role][emb.Role]
+				if cell.filled {
+					continue
+				}
+				v := browser.EvaluateFresh(live, top.Site, emb.Site)
+				*cell = verdict{decision: v.Decision, granted: v.Granted, filled: true}
+			}
+		}
+	}
+}
+
+// TestParallelSnapshotMatchesSerial is the construction's equivalence
 // property: sharded parallel construction produces a snapshot
-// semantically identical to the retained serial reference path — over
+// semantically identical to the serial reference build — over
 // the embedded real list and randomized amplified lists, for several
 // seeds × shard counts. CI runs the package under -race, so this also
 // proves the phase-A/phase-B writes are race-free.
@@ -164,13 +205,7 @@ func TestParallelSnapshotMatchesSerial(t *testing.T) {
 	lists["tiny"] = tiny
 
 	for name, list := range lists {
-		serial, err := BuildSnapshot(list, SnapshotOptions{Serial: true})
-		if err != nil {
-			t.Fatalf("%s: serial build: %v", name, err)
-		}
-		if !serial.BuildInfo().Serial || serial.BuildInfo().Shards != 1 {
-			t.Fatalf("%s: serial BuildInfo = %+v", name, serial.BuildInfo())
-		}
+		serial := buildSerial(list)
 		for _, shards := range []int{1, 2, 3, 8} {
 			par, err := BuildSnapshot(list, SnapshotOptions{Shards: shards})
 			if err != nil {
@@ -189,8 +224,8 @@ func TestNewSnapshotUsesParallelPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	info := NewSnapshot(list).BuildInfo()
-	if info.Serial {
-		t.Error("NewSnapshot took the serial path")
+	if want := min(runtime.GOMAXPROCS(0), list.NumSets()); info.Shards != want {
+		t.Errorf("Shards = %d, want GOMAXPROCS-derived %d", info.Shards, want)
 	}
 	if info.Shards < 1 {
 		t.Errorf("Shards = %d, want >= 1", info.Shards)
@@ -200,12 +235,11 @@ func TestNewSnapshotUsesParallelPath(t *testing.T) {
 	}
 }
 
-// TestMemoryBudgetDegradesThenFails drives the budget ladder: unlimited
-// keeps everything; a budget just under the full footprint drops the
-// prebaked response bytes first (live encode, same bytes); a budget
-// under that drops the prebaked member slices too (and /v1/set still
-// answers, rebuilt on demand); a budget below the fully degraded
-// footprint errors.
+// TestMemoryBudgetDegradesThenFails drives the budget's two outcomes
+// below unlimited: a budget that holds the query tables but not the
+// /v1/list export body drops the body (tier list-dropped), and /v1/list
+// then encodes the same bytes per request; a budget below the query
+// tables fails the build.
 func TestMemoryBudgetDegradesThenFails(t *testing.T) {
 	list, err := amplify.Generate(amplify.Config{Sets: 500, Seed: 4})
 	if err != nil {
@@ -215,66 +249,54 @@ func TestMemoryBudgetDegradesThenFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info := full.BuildInfo(); info.PrebakedSetsDropped || info.PrebakedRespDropped || !full.respBaked {
+	info := full.BuildInfo()
+	if info.Tier != "full" || full.respList == nil {
 		t.Fatalf("unlimited build degraded: %+v", info)
 	}
-	if tier := full.BuildInfo().Tier; tier != "full" {
-		t.Errorf("unlimited Tier = %q, want full", tier)
-	}
-	fullBytes := full.BuildInfo().EstimatedBytes
+	tables := info.EstimatedBytes - int64(len(full.respList))
 
-	// Rung 1: the prebaked response bytes go first.
-	respDropped, err := BuildSnapshot(list, SnapshotOptions{MemoryBudget: fullBytes - 1})
-	if err != nil {
-		t.Fatalf("budget just under full footprint should degrade, not fail: %v", err)
-	}
-	rinfo := respDropped.BuildInfo()
-	if !rinfo.PrebakedRespDropped || respDropped.respBaked {
-		t.Error("budget under full footprint did not drop prebaked response bytes")
-	}
-	if rinfo.PrebakedSetsDropped {
-		t.Error("budget under full footprint dropped member slices before response bytes")
-	}
-	if rinfo.Tier != "resp-dropped" {
-		t.Errorf("Tier = %q, want resp-dropped", rinfo.Tier)
-	}
-	if rinfo.EstimatedBytes >= fullBytes {
-		t.Errorf("resp-dropped estimate %d not below full %d", rinfo.EstimatedBytes, fullBytes)
-	}
-	if respDropped.members == nil {
-		t.Error("resp-dropped rung lost the member slices")
+	exact, err := BuildSnapshot(list, SnapshotOptions{MemoryBudget: info.EstimatedBytes})
+	if err != nil || exact.BuildInfo().Tier != "full" {
+		t.Fatalf("budget equal to the full footprint: tier %q, err %v; want full", exact.BuildInfo().Tier, err)
 	}
 
-	// Rung 2: the prebaked member slices go next.
-	degraded, err := BuildSnapshot(list, SnapshotOptions{MemoryBudget: rinfo.EstimatedBytes - 1})
+	dropped, err := BuildSnapshot(list, SnapshotOptions{MemoryBudget: info.EstimatedBytes - 1})
 	if err != nil {
-		t.Fatalf("budget just under resp-dropped footprint should degrade, not fail: %v", err)
+		t.Fatalf("budget just under the full footprint should drop the export body, not fail: %v", err)
 	}
-	info := degraded.BuildInfo()
-	if !info.PrebakedSetsDropped || !info.PrebakedRespDropped {
-		t.Errorf("budget under resp-dropped footprint did not drop both tiers: %+v", info)
+	dinfo := dropped.BuildInfo()
+	if dinfo.Tier != "list-dropped" || dropped.respList != nil {
+		t.Errorf("budget under the full footprint: tier %q, export body kept %v; want list-dropped", dinfo.Tier, dropped.respList != nil)
 	}
-	if info.Tier != "sets-dropped" {
-		t.Errorf("Tier = %q, want sets-dropped", info.Tier)
+	if dinfo.EstimatedBytes != tables {
+		t.Errorf("list-dropped estimate = %d, want the query tables' %d", dinfo.EstimatedBytes, tables)
 	}
-	if info.EstimatedBytes >= rinfo.EstimatedBytes {
-		t.Errorf("degraded estimate %d not below resp-dropped %d", info.EstimatedBytes, rinfo.EstimatedBytes)
-	}
-	// The degraded snapshot still answers /v1/set identically.
-	site := list.Sets()[7].Primary
-	got, want := degraded.Set(site), full.Set(site)
-	if got.Found != want.Found || len(got.Members) != len(want.Members) {
-		t.Fatalf("degraded Set(%q) = %+v, want %+v", site, got, want)
-	}
-	for i := range got.Members {
-		if got.Members[i] != want.Members[i] {
-			t.Errorf("degraded Set(%q).Members[%d] = %+v, want %+v", site, i, got.Members[i], want.Members[i])
+	// The list-dropped snapshot still exports the same bytes, encoded per
+	// request.
+	for _, path := range []string{"/v1/list", "/v1/list?pretty=1"} {
+		want := httptest.NewRecorder()
+		NewFromStore(storeOf(t, full)).ServeHTTP(want, httptest.NewRequest(http.MethodGet, path, nil))
+		got := httptest.NewRecorder()
+		NewFromStore(storeOf(t, dropped)).ServeHTTP(got, httptest.NewRequest(http.MethodGet, path, nil))
+		if got.Code != http.StatusOK || got.Body.String() != want.Body.String() {
+			t.Errorf("%s: list-dropped answered %d with %d bytes, want the full tier's %d bytes", path, got.Code, got.Body.Len(), want.Body.Len())
 		}
 	}
 
-	if _, err := BuildSnapshot(list, SnapshotOptions{MemoryBudget: info.EstimatedBytes - 1}); err == nil {
-		t.Error("budget under the fully degraded footprint should fail")
+	if _, err := BuildSnapshot(list, SnapshotOptions{MemoryBudget: tables}); err != nil {
+		t.Errorf("budget equal to the query tables should build: %v", err)
 	}
+	if _, err := BuildSnapshot(list, SnapshotOptions{MemoryBudget: tables - 1}); err == nil {
+		t.Error("budget under the query tables should fail")
+	}
+}
+
+// storeOf returns a store holding snap as its current version.
+func storeOf(t *testing.T, snap *Snapshot) *Store {
+	t.Helper()
+	st := NewStore(1)
+	st.AddSnapshot(snap, core.Version{Source: "test"})
+	return st
 }
 
 // TestStoreWithBudgetRejectsOversizedList proves AddList reports the

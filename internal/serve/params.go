@@ -3,18 +3,19 @@ package serve
 import (
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 
 	"rwskit/internal/core"
 )
 
-// This file is the one param grammar: every endpoint resolves its
-// version=/as_of=/pretty= parameters through resolveQuery against a
-// declared allowlist of supported keys, so the grammar cannot drift per
-// handler and — under strict params — a typoed key (verison=, asof=)
-// gets a bad_request envelope naming the supported keys instead of
-// being silently ignored.
+// This file is the one param grammar: every query endpoint reads its raw
+// query once with scanQuery and resolves its version=/as_of= parameters
+// through resolveQuery against a declared allowlist of supported keys,
+// so the grammar cannot drift per handler and — under strict params — a
+// typoed key (verison=, asof=) gets a bad_request envelope naming the
+// supported keys instead of being silently ignored.
 
 // The per-endpoint supported query keys, sorted (the order they are
 // reported to clients in).
@@ -28,32 +29,127 @@ var (
 	paramsPretty    = []string{"pretty"} // healthz, metrics, versions
 )
 
+// param indexes the query keys the scanner reads (paramNames).
+type param uint8
+
+const (
+	pA param = iota
+	pB
+	pSite
+	pTop
+	pEmbedded
+	pPolicy
+	pPairs
+	pVersion
+	pAsOf
+	pPretty
+	numParams
+)
+
+// paramNames spells each scanned key, in param order.
+var paramNames = [numParams]string{"a", "b", "site", "top", "embedded", "policy", "pairs", "version", "as_of", "pretty"}
+
+// query is one request's scanned query string: the first value of each
+// key the query endpoints read ("" when absent).
+type query struct {
+	vals [numParams]string
+	seen uint16 // bit p is set once key p has appeared
+}
+
+// pretty reports whether the request opted into indented output
+// (?pretty, ?pretty=1, ?pretty=true).
+//
+//rws:hotpath
+//rws:allocfree
+func (q *query) pretty() bool {
+	v := q.vals[pPretty]
+	return q.seen&(1<<pPretty) != 0 && (v == "" || v == "1" || v == "true")
+}
+
+// paramOf maps a decoded key to its param, or numParams for a key the
+// query endpoints do not read.
+//
+//rws:hotpath
+//rws:allocfree
+func paramOf(k string) param {
+	for p, name := range paramNames {
+		if k == name {
+			return param(p)
+		}
+	}
+	return numParams
+}
+
+// nextSegment pops one key=value segment off a raw query and decodes it
+// as url.ParseQuery does ('+' is a space, %XX escapes). ok is false for a
+// segment ParseQuery drops: an empty one, a bad escape, or a raw ';'. The
+// one exception is pairs=, whose documented pairs=a,b;c,d spelling keeps
+// its raw ';' separators. Keys and values without escapes are substrings
+// of raw, so a plain query decodes without allocating.
+//
+//rws:hotpath
+func nextSegment(raw string) (k, v, rest string, ok bool) {
+	seg, rest, _ := strings.Cut(raw, "&")
+	if seg == "" {
+		return "", "", rest, false
+	}
+	k, v, _ = strings.Cut(seg, "=")
+	k, err := url.QueryUnescape(k)
+	if err != nil || (k != "pairs" && strings.IndexByte(seg, ';') >= 0) {
+		return "", "", rest, false
+	}
+	if v, err = url.QueryUnescape(v); err != nil {
+		return "", "", rest, false
+	}
+	return k, v, rest, true
+}
+
+// scanQuery reads every key the query endpoints use from a raw query
+// into q, first value winning per key, without building url.Values.
+//
+//rws:hotpath
+func scanQuery(raw string, q *query) {
+	for raw != "" {
+		k, v, rest, ok := nextSegment(raw)
+		raw = rest
+		if !ok {
+			continue
+		}
+		if p := paramOf(k); p < numParams && q.seen&(1<<p) == 0 {
+			q.seen |= 1 << p
+			q.vals[p] = v
+		}
+	}
+}
+
+// unknownKeys returns the distinct keys of a raw query outside
+// supported, sorted.
+func unknownKeys(raw string, supported []string) []string {
+	var unknown []string
+	for raw != "" {
+		k, _, rest, ok := nextSegment(raw)
+		raw = rest
+		if ok && !slices.Contains(supported, k) && !slices.Contains(unknown, k) {
+			unknown = append(unknown, k)
+		}
+	}
+	sort.Strings(unknown)
+	return unknown
+}
+
 // checkParams rejects query keys outside supported with a bad_request
 // envelope naming both the offenders and the allowlist. Enforcement is
 // on when the endpoint demands it (strict: the new endpoints) or when
 // the server-wide -strict-params mode is; otherwise unknown keys keep
 // their historical ignore-silently behavior.
-func (s *Server) checkParams(w http.ResponseWriter, r *http.Request, q url.Values, supported []string, strict bool) bool {
+func (s *Server) checkParams(w http.ResponseWriter, r *http.Request, supported []string, strict bool) bool {
 	if !strict && !s.strictParams.Load() {
 		return true
 	}
-	var unknown []string
-	for k := range q {
-		known := false
-		for _, sk := range supported {
-			if k == sk {
-				known = true
-				break
-			}
-		}
-		if !known {
-			unknown = append(unknown, k)
-		}
-	}
+	unknown := unknownKeys(r.URL.RawQuery, supported)
 	if len(unknown) == 0 {
 		return true
 	}
-	sort.Strings(unknown)
 	writeError(w, r, http.StatusBadRequest, codeBadRequest,
 		"unknown query parameter(s): %s (supported: %s)",
 		strings.Join(unknown, ", "), strings.Join(supported, ", "))
@@ -61,17 +157,19 @@ func (s *Server) checkParams(w http.ResponseWriter, r *http.Request, q url.Value
 }
 
 // resolveQuery is the shared request-scope resolver: it validates the
-// query against the endpoint's allowlist, then picks the snapshot (and
-// its version descriptor) the request is answered from — the current
-// version when neither version= nor as_of= is present, otherwise the
-// named or as-of-resolved retained version. On failure it writes the
-// error envelope and reports false. Successful resolution counts one
-// per-version hit (a lock-free atomic add surfaced in /v1/metrics).
-func (s *Server) resolveQuery(w http.ResponseWriter, r *http.Request, q url.Values, supported []string, strict bool) (*Snapshot, core.Version, bool) {
-	if !s.checkParams(w, r, q, supported, strict) {
+// query against the endpoint's allowlist, then picks the snapshot the
+// request is answered from. A request with neither version= nor as_of=
+// takes the lock-free current pointer and a zero version descriptor
+// (conditionalDone fetches the descriptor only when a date validator
+// needs it); otherwise the named or as-of-resolved retained version and
+// its descriptor. On failure it writes the error envelope and reports
+// false. Successful resolution counts one per-version hit (a lock-free
+// atomic add surfaced in /v1/metrics).
+func (s *Server) resolveQuery(w http.ResponseWriter, r *http.Request, q *query, supported []string, strict bool) (*Snapshot, core.Version, bool) {
+	if !s.checkParams(w, r, supported, strict) {
 		return nil, core.Version{}, false
 	}
-	version, asOf := q.Get("version"), q.Get("as_of")
+	version, asOf := q.vals[pVersion], q.vals[pAsOf]
 	var (
 		snap *Snapshot
 		ver  core.Version
@@ -91,7 +189,7 @@ func (s *Server) resolveQuery(w http.ResponseWriter, r *http.Request, q url.Valu
 		}
 		snap, ver, err = s.store.AsOf(t)
 	default:
-		snap, ver, err = s.store.ByHash("")
+		snap = s.store.Current()
 	}
 	if err != nil {
 		writeResolveError(w, r, err)

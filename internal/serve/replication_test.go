@@ -6,10 +6,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"rwskit/internal/amplify"
 	"rwskit/internal/core"
 	"rwskit/internal/dataset"
 	"rwskit/internal/source"
@@ -259,5 +261,62 @@ func TestFollowerSurvivesLeaderDeath(t *testing.T) {
 	}
 	if body.Replication == nil || body.Replication.VersionHash != synced {
 		t.Errorf("metrics replication block = %+v, want hash %.12s", body.Replication, synced)
+	}
+}
+
+// TestSwapDeliverReportsFailedInstall: a delivery whose list blows the
+// store's memory budget installs nothing — the served snapshot and the
+// replication state keep naming the last good version, no swap is
+// counted, and the log names the failure instead of claiming a swap.
+func TestSwapDeliverReportsFailedInstall(t *testing.T) {
+	small, err := amplify.Generate(amplify.Config{Sets: 5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := amplify.Generate(amplify.Config{Sets: 2000, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	smallSnap, err := BuildSnapshot(small, SnapshotOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewStoreWith(4, SnapshotOptions{MemoryBudget: smallSnap.BuildInfo().EstimatedBytes + 1024})
+	if _, err := st.AddList(small, core.Version{Source: "boot"}); err != nil {
+		t.Fatal(err)
+	}
+	s := NewFromStore(st)
+	var log strings.Builder
+	deliver := s.SwapDeliver(&log)
+	fromLeader := func(l *core.List) source.Swap {
+		now := time.Now()
+		return source.Swap{List: l, Meta: source.Meta{
+			Location: "http://leader/v1/list", Hash: l.Hash(), FetchedAt: now,
+			UpstreamVersion: l.Hash(), UpstreamAsOf: now, UpstreamSwappedAt: now,
+		}}
+	}
+	deliver(fromLeader(small))
+	log.Reset()
+	deliver(fromLeader(big))
+
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
+	var m MetricsResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.SnapshotHash != small.Hash() {
+		t.Errorf("snapshot_hash = %.12s after a failed install, want the last good %.12s", m.SnapshotHash, small.Hash())
+	}
+	if m.Replication == nil || m.Replication.VersionHash != small.Hash() || m.Replication.Swaps != 1 {
+		t.Errorf("replication = %+v after a failed install, want version_hash %.12s and 1 swap", m.Replication, small.Hash())
+	}
+	if m.ListSwaps != 0 {
+		t.Errorf("list_swaps = %d, want 0", m.ListSwaps)
+	}
+	out := log.String()
+	if strings.Contains(out, "swapped") || !strings.Contains(out, "failed to install") ||
+		!strings.Contains(out, big.Hash()[:12]) || !strings.Contains(out, "memory budget") {
+		t.Errorf("log = %q, want the failed install of %.12s and its budget error", out, big.Hash())
 	}
 }

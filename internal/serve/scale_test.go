@@ -24,7 +24,7 @@ import (
 //     subsequent request fail;
 //   - no torn reads — every /v1/stats response matches exactly one of
 //     the two lists' composition tuples, and version-pinned /v1/set
-//     responses always return the pinned list's prebaked members;
+//     responses always return the pinned list's member-table row;
 //   - bounded swap pause — installing a prebuilt 10⁴-set snapshot under
 //     full read traffic stays within a generous p99 bound (the serve
 //     contract is that AddSnapshot does no precompute on the swap path).
@@ -82,7 +82,7 @@ func TestScaleTierSwapUnderTraffic(t *testing.T) {
 	tupleA, tupleB := tupleOf(snapA), tupleOf(snapB)
 
 	// The version-pinned probe: a mid-list set of A, whose members must
-	// come back byte-identical to A's prebaked slice no matter which
+	// come back byte-identical to A's member-table row no matter which
 	// version is current.
 	probeSet := listA.Sets()[setsA/2]
 	wantProbe := snapA.Set(probeSet.Primary)

@@ -44,20 +44,19 @@
 // suffix, trailing dot, mixed case — and are canonicalized before lookup.
 //
 // The package is a JSON API end to end: every response body, success or
-// error, goes through the writeJSON envelope (machine-checked by
-// rws-lint's jsonenvelope analyzer via the directive below).
+// error, goes through the envelope writers (writeJSON, writeBody;
+// machine-checked by rws-lint's jsonenvelope analyzer via the directive
+// below).
 //
 //rws:jsonapi
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -205,7 +204,10 @@ func (s *Server) SwapSnapshot(snap *Snapshot) {
 // SwapDeliver returns a source.Watcher delivery callback that installs
 // each delivered revision into the version store (Meta → Version) and
 // logs the change to logw. The snapshot precompute runs on the watcher
-// goroutine, never on the request path.
+// goroutine, never on the request path. A revision that fails to build
+// (a list over the store's memory budget) is logged with its error and
+// installs nothing: the previous snapshot keeps serving and the
+// replication state keeps naming it.
 func (s *Server) SwapDeliver(logw io.Writer) func(source.Swap) {
 	return func(sw source.Swap) {
 		ver := sw.Meta.Version()
@@ -215,7 +217,11 @@ func (s *Server) SwapDeliver(logw io.Writer) func(source.Swap) {
 		if ver.AsOf.IsZero() {
 			ver.AsOf = ver.ObservedAt
 		}
-		s.store.Add(sw.List, ver)
+		if _, err := s.store.AddList(sw.List, ver); err != nil {
+			fmt.Fprintf(logw, "serve: failed to install list from %s (%d sets, hash %.12s), still serving %.12s: %v\n",
+				sw.Meta.Location, sw.List.NumSets(), sw.Meta.Hash, s.Snapshot().hash, err)
+			return
+		}
 		if sw.Meta.Follows() {
 			s.RecordReplicationSwap(sw.Meta)
 		}
@@ -276,32 +282,25 @@ type errorBody struct {
 	Code  string `json:"code"`
 }
 
-// writeJSON encodes v and writes it: compact by default, indented when
-// the request opted in with ?pretty=1. The encode buffer is pooled and
-// reused across requests. Encoding happens fully before any byte
-// reaches the wire, so an encode failure surfaces as a 500 JSON
-// envelope instead of a truncated 200. Write errors after that mean the
-// client went away; there is nothing left to surface to it.
+// writeJSON encodes v with encoding/json and writes it through
+// writeBody: compact by default, indented when the request opted in with
+// ?pretty=1. It serves the bodies no append* encoder covers (errors,
+// metrics, versions, diff, churn, batch partition). Encoding happens
+// fully before any byte reaches the wire, so an encode failure surfaces
+// as a 500 JSON envelope instead of a truncated 200. Write errors after
+// that mean the client went away; there is nothing left to surface to
+// it.
 //
 //rws:envelope
 func writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
-	buf := jsonBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	enc := json.NewEncoder(buf)
-	if prettyRequested(r) {
-		enc.SetIndent("", "  ")
-	}
-	if err := enc.Encode(v); err != nil {
-		buf.Reset()
+	body, err := json.Marshal(v)
+	if err != nil {
 		status = http.StatusInternalServerError
-		body, _ := json.Marshal(errorBody{Error: "encoding response: " + err.Error(), Code: codeInternal})
-		buf.Write(body)
-		buf.WriteByte('\n')
+		body, _ = json.Marshal(errorBody{Error: "encoding response: " + err.Error(), Code: codeInternal})
 	}
-	writeRawJSON(w, status, buf.Bytes())
-	if buf.Cap() <= maxRetainedBuf {
-		jsonBufPool.Put(buf)
-	}
+	var q query
+	scanQuery(r.URL.RawQuery, &q)
+	writeBody(w, r, status, q.pretty(), append(body, '\n'))
 }
 
 func badRequest(w http.ResponseWriter, r *http.Request, format string, args ...any) {
@@ -340,7 +339,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !requireGET(w, r) {
 		return
 	}
-	if s.strictParams.Load() && !s.checkParams(w, r, r.URL.Query(), paramsPretty, true) {
+	if !s.checkParams(w, r, paramsPretty, false) {
 		return
 	}
 	writeJSON(w, r, http.StatusOK, map[string]any{
@@ -364,26 +363,6 @@ type SameSetResponse struct {
 type SameSetBatchResponse struct {
 	Pairs   int               `json:"pairs"`
 	Results []SameSetResponse `json:"results"`
-}
-
-// pairsParam extracts the pairs parameter. Go's url.Values silently
-// drops keys whose raw value contains a ';' (historically a query
-// separator, rejected since Go 1.17), which would swallow the documented
-// pairs=a1,b1;a2,b2 syntax whenever the caller doesn't percent-encode
-// the semicolons — so fall back to scanning the raw query ourselves.
-func pairsParam(q url.Values, rawQuery string) string {
-	if v := q.Get("pairs"); v != "" {
-		return v
-	}
-	for _, seg := range strings.Split(rawQuery, "&") {
-		if v, ok := strings.CutPrefix(seg, "pairs="); ok {
-			if dec, err := url.QueryUnescape(v); err == nil {
-				return dec
-			}
-			return v
-		}
-	}
-	return ""
 }
 
 // errTooManyPairs marks a batch that exceeded maxBatchPairs, so the
@@ -422,36 +401,22 @@ func parsePairs(raw string) ([][2]string, error) {
 	return out, nil
 }
 
+// handleSameSet answers the point (a=, b=) and batch (pairs=) forms.
+// Like every query endpoint it takes one path: scan the raw query,
+// resolve the snapshot, validate, revalidate, encode, write once.
 func (s *Server) handleSameSet(w http.ResponseWriter, r *http.Request) {
-	// Fast path: a plain current-version a=/b= GET against a snapshot
-	// with prebaked response bytes is answered with zero allocations —
-	// no url.Values, no response struct, no encode. Any other shape
-	// (version pinning, pairs=, escaped values, ?pretty=1, POST) falls
-	// through to the general handler below, which answers identically.
-	if r.Method == http.MethodGet && snapRespBaked(s.store.Current()) {
-		if a, b, ok := rawTwoParams(r.URL.RawQuery, "a", "b"); ok {
-			snap := s.store.Current()
-			snap.requests.Add(1)
-			if conditionalDone(w, r, snap, time.Time{}) {
-				return
-			}
-			rb := getRespBuf()
-			rb.b = snap.appendSameSet(rb.b[:0], a, b)
-			writeRawJSON(w, http.StatusOK, rb.b)
-			putRespBuf(rb)
-			return
-		}
-	}
 	if !requireGET(w, r) {
 		return
 	}
-	q := r.URL.Query()
-	snap, ver, ok := s.resolveQuery(w, r, q, paramsSameSet, false)
+	var q query
+	scanQuery(r.URL.RawQuery, &q)
+	snap, ver, ok := s.resolveQuery(w, r, &q, paramsSameSet, false)
 	if !ok {
 		return
 	}
-	if raw := pairsParam(q, r.URL.RawQuery); raw != "" {
-		if q.Get("a") != "" || q.Get("b") != "" {
+	a, b := q.vals[pA], q.vals[pB]
+	if raw := q.vals[pPairs]; raw != "" {
+		if a != "" || b != "" {
 			badRequest(w, r, "use either pairs= or a=/b=, not both")
 			return
 		}
@@ -464,49 +429,26 @@ func (s *Server) handleSameSet(w http.ResponseWriter, r *http.Request) {
 			writeError(w, r, http.StatusBadRequest, code, "%v", err)
 			return
 		}
-		if conditionalDone(w, r, snap, ver.AsOf) {
+		if s.conditionalDone(w, r, snap, ver) {
 			return
 		}
-		if snap.respBaked && !prettyRequested(r) {
-			rb := getRespBuf()
-			rb.b = snap.appendSameSetBatch(rb.b[:0], pairs)
-			writeRawJSON(w, http.StatusOK, rb.b)
-			putRespBuf(rb)
-			return
-		}
-		resp := SameSetBatchResponse{Pairs: len(pairs), Results: make([]SameSetResponse, len(pairs))}
-		for i, p := range pairs {
-			resp.Results[i] = snap.SameSet(p[0], p[1])
-		}
-		writeJSON(w, r, http.StatusOK, resp)
+		rb := getRespBuf()
+		rb.b = append(appendSameSetBatch(rb.b, snap, pairs), '\n')
+		writeBody(w, r, http.StatusOK, q.pretty(), rb.b)
+		putRespBuf(rb)
 		return
 	}
-	a, b := q.Get("a"), q.Get("b")
 	if a == "" || b == "" {
 		badRequest(w, r, "both a and b query parameters are required")
 		return
 	}
-	if conditionalDone(w, r, snap, ver.AsOf) {
+	if s.conditionalDone(w, r, snap, ver) {
 		return
 	}
-	if snap.respBaked && !prettyRequested(r) {
-		rb := getRespBuf()
-		rb.b = snap.appendSameSet(rb.b[:0], a, b)
-		writeRawJSON(w, http.StatusOK, rb.b)
-		putRespBuf(rb)
-		return
-	}
-	writeJSON(w, r, http.StatusOK, snap.SameSet(a, b))
-}
-
-// snapRespBaked reports whether snap carries the prebaked response
-// plane; a nil snapshot (empty store — impossible through NewFromStore)
-// reports false so fast paths fall through safely.
-//
-//rws:hotpath
-//rws:allocfree
-func snapRespBaked(snap *Snapshot) bool {
-	return snap != nil && snap.respBaked
+	rb := getRespBuf()
+	rb.b = append(appendSameSet(rb.b, snap.SameSet(a, b)), '\n')
+	writeBody(w, r, http.StatusOK, q.pretty(), rb.b)
+	putRespBuf(rb)
 }
 
 // SetMember is one member in a /v1/set response.
@@ -526,46 +468,27 @@ type SetResponse struct {
 }
 
 func (s *Server) handleSet(w http.ResponseWriter, r *http.Request) {
-	// Fast path: plain current-version site= GET, answered by splicing
-	// the prebaked members array into a pooled buffer.
-	if r.Method == http.MethodGet && snapRespBaked(s.store.Current()) {
-		if site, ok := rawOneParam(r.URL.RawQuery, "site"); ok {
-			snap := s.store.Current()
-			snap.requests.Add(1)
-			if conditionalDone(w, r, snap, time.Time{}) {
-				return
-			}
-			rb := getRespBuf()
-			rb.b = snap.appendSet(rb.b[:0], site)
-			writeRawJSON(w, http.StatusOK, rb.b)
-			putRespBuf(rb)
-			return
-		}
-	}
 	if !requireGET(w, r) {
 		return
 	}
-	q := r.URL.Query()
-	site := q.Get("site")
+	var q query
+	scanQuery(r.URL.RawQuery, &q)
+	site := q.vals[pSite]
 	if site == "" {
 		badRequest(w, r, "site query parameter is required")
 		return
 	}
-	snap, ver, ok := s.resolveQuery(w, r, q, paramsSet, false)
+	snap, ver, ok := s.resolveQuery(w, r, &q, paramsSet, false)
 	if !ok {
 		return
 	}
-	if conditionalDone(w, r, snap, ver.AsOf) {
+	if s.conditionalDone(w, r, snap, ver) {
 		return
 	}
-	if snap.respBaked && !prettyRequested(r) {
-		rb := getRespBuf()
-		rb.b = snap.appendSet(rb.b[:0], site)
-		writeRawJSON(w, http.StatusOK, rb.b)
-		putRespBuf(rb)
-		return
-	}
-	writeJSON(w, r, http.StatusOK, snap.Set(site))
+	rb := getRespBuf()
+	rb.b = append(appendSet(rb.b, snap.Set(site)), '\n')
+	writeBody(w, r, http.StatusOK, q.pretty(), rb.b)
+	putRespBuf(rb)
 }
 
 // PartitionResponse answers /v1/partition: the storage semantics a fresh
@@ -588,50 +511,32 @@ type PartitionResponse struct {
 }
 
 func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
-	// Fast path: plain current-version top=/embedded=[&policy=] GET for
-	// a pair on the precomputed plane. Off-list pairs (which need the
-	// live simulator) and unknown policies report !ok from
-	// appendPartition and fall through.
-	if r.Method == http.MethodGet && snapRespBaked(s.store.Current()) {
-		if top, embedded, policy, ok := rawPartitionParams(r.URL.RawQuery); ok {
-			snap := s.store.Current()
-			rb := getRespBuf()
-			if b, ok := snap.appendPartition(rb.b[:0], policy, top, embedded); ok {
-				snap.requests.Add(1)
-				if conditionalDone(w, r, snap, time.Time{}) {
-					putRespBuf(rb)
-					return
-				}
-				rb.b = b
-				writeRawJSON(w, http.StatusOK, rb.b)
-				putRespBuf(rb)
-				return
-			}
-			putRespBuf(rb)
-		}
-	}
 	if !requireGET(w, r) {
 		return
 	}
-	q := r.URL.Query()
-	top, embedded := q.Get("top"), q.Get("embedded")
+	var q query
+	scanQuery(r.URL.RawQuery, &q)
+	top, embedded := q.vals[pTop], q.vals[pEmbedded]
 	if top == "" || embedded == "" {
 		badRequest(w, r, "both top and embedded query parameters are required")
 		return
 	}
-	snap, ver, ok := s.resolveQuery(w, r, q, paramsPartition, false)
+	snap, ver, ok := s.resolveQuery(w, r, &q, paramsPartition, false)
 	if !ok {
 		return
 	}
-	resp, err := snap.Partition(q.Get("policy"), top, embedded)
+	resp, err := snap.Partition(q.vals[pPolicy], top, embedded)
 	if err != nil {
 		badRequest(w, r, "%v", err)
 		return
 	}
-	if conditionalDone(w, r, snap, ver.AsOf) {
+	if s.conditionalDone(w, r, snap, ver) {
 		return
 	}
-	writeJSON(w, r, http.StatusOK, resp)
+	rb := getRespBuf()
+	rb.b = append(appendPartition(rb.b, resp), '\n')
+	writeBody(w, r, http.StatusOK, q.pretty(), rb.b)
+	putRespBuf(rb)
 }
 
 // PartitionQuery is one query in a /v1/partition/batch request. Policy
@@ -716,35 +621,25 @@ type StatsResponse struct {
 	ListSwaps       uint64  `json:"list_swaps"`
 }
 
+// handleStats answers /v1/stats. The ETag covers the snapshot-derived
+// fields; the two live server counters ride along and are not part of
+// the validator (a cache revalidating an unchanged snapshot keeps its
+// counter values).
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	// Fast path: a bare current-version GET splices the two live
-	// counters into the prebaked stats body.
-	if r.Method == http.MethodGet && r.URL.RawQuery == "" && snapRespBaked(s.store.Current()) {
-		snap := s.store.Current()
-		snap.requests.Add(1)
-		// The stats ETag covers the snapshot-derived fields; the live
-		// counters ride along and are not part of the validator (a cache
-		// revalidating an unchanged snapshot keeps its counter values).
-		if conditionalDone(w, r, snap, time.Time{}) {
-			return
-		}
-		rb := getRespBuf()
-		rb.b = snap.appendStats(rb.b[:0], s.requests.Load(), s.store.Swaps())
-		writeRawJSON(w, http.StatusOK, rb.b)
-		putRespBuf(rb)
-		return
-	}
 	if !requireGET(w, r) {
 		return
 	}
-	snap, ver, ok := s.resolveQuery(w, r, r.URL.Query(), paramsVersioned, false)
+	var q query
+	scanQuery(r.URL.RawQuery, &q)
+	snap, ver, ok := s.resolveQuery(w, r, &q, paramsVersioned, false)
 	if !ok {
 		return
 	}
-	if conditionalDone(w, r, snap, ver.AsOf) {
+	if s.conditionalDone(w, r, snap, ver) {
 		return
 	}
-	writeJSON(w, r, http.StatusOK, StatsResponse{
+	rb := getRespBuf()
+	rb.b = append(appendStats(rb.b, StatsResponse{
 		Sets:            snap.stats.Sets,
 		Sites:           snap.numSites,
 		AssociatedSites: snap.stats.AssociatedSites,
@@ -754,7 +649,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		SnapshotHash:    snap.hash,
 		Requests:        s.requests.Load(),
 		ListSwaps:       s.store.Swaps(),
-	})
+	}), '\n')
+	writeBody(w, r, http.StatusOK, q.pretty(), rb.b)
+	putRespBuf(rb)
 }
 
 // EndpointMetrics is one endpoint's counters in a /v1/metrics response.
@@ -802,7 +699,7 @@ type MetricsResponse struct {
 	SnapshotHash string `json:"snapshot_hash"`
 	// SnapshotBuild reports how the current snapshot was constructed —
 	// shard count, build time, estimated footprint, and whether a memory
-	// budget forced the prebaked /v1/set slices to be dropped.
+	// budget dropped the /v1/list export body.
 	SnapshotBuild BuildInfo `json:"snapshot_build"`
 	// VersionsRetained / VersionsCapacity is the version-store occupancy.
 	VersionsRetained int               `json:"versions_retained"`
@@ -820,7 +717,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if !requireGET(w, r) {
 		return
 	}
-	if s.strictParams.Load() && !s.checkParams(w, r, r.URL.Query(), paramsPretty, true) {
+	if !s.checkParams(w, r, paramsPretty, false) {
 		return
 	}
 	dc := s.store.diffs.metrics()
@@ -905,7 +802,7 @@ func (s *Server) handleVersions(w http.ResponseWriter, r *http.Request) {
 	if !requireGET(w, r) {
 		return
 	}
-	if s.strictParams.Load() && !s.checkParams(w, r, r.URL.Query(), paramsPretty, true) {
+	if !s.checkParams(w, r, paramsPretty, false) {
 		return
 	}
 	infos := s.store.Versions()
@@ -938,10 +835,10 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	if !requireGET(w, r) {
 		return
 	}
-	q := r.URL.Query()
-	if !s.checkParams(w, r, q, paramsDiff, false) {
+	if !s.checkParams(w, r, paramsDiff, false) {
 		return
 	}
+	q := r.URL.Query()
 	from, to := q.Get("from"), q.Get("to")
 	if from == "" || to == "" {
 		badRequest(w, r, "both from and to query parameters are required (a version hash prefix, an as-of time, or \"current\")")

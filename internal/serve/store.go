@@ -138,7 +138,7 @@ func (st *Store) Swaps() uint64 { return st.swaps.Load() }
 // Add precomputes a snapshot for list and installs it as the current
 // version. The precompute runs on the caller, never on the request path.
 // The result is nil only when the store was built with a MemoryBudget
-// and the list cannot fit even degraded; budgeted callers should prefer
+// the list's query tables do not fit; budgeted callers should prefer
 // AddList, which reports that error.
 func (st *Store) Add(list *core.List, ver core.Version) *Snapshot {
 	snap, _ := st.AddList(list, ver)
@@ -203,7 +203,7 @@ func (st *Store) AddSnapshot(snap *Snapshot, ver core.Version) {
 		// this very Add (a retain-1 store supersedes and evicts in one
 		// motion; memoDiff would discard the result anyway). memoDiff
 		// still guards against an eviction racing in after this check.
-		if !st.diffs.peek(prev.hash, snap.hash) && st.retained(prev.hash) {
+		if _, warm := st.diffs.peek(prev.hash, snap.hash); !warm && st.retained(prev.hash) {
 			st.diffs.computes.Add(1)
 			st.memoDiff(prev, snap, core.DiffLists(prev.list, snap.list))
 		}
@@ -272,10 +272,17 @@ func (st *Store) Diff(from, to *Snapshot) core.Diff {
 	}
 
 	// Winner: compute and memoize outside flightMu, then retire the
-	// flight before releasing the waiters.
-	st.diffs.computes.Add(1)
-	f.d = core.DiffLists(from.list, to.list)
-	st.memoDiff(from, to, f.d)
+	// flight before releasing the waiters. A flight for this pair that
+	// retired between the cache miss above and this registration has
+	// already memoized its result (memoDiff precedes the retirement), so
+	// take that instead of computing again.
+	if d, ok := st.diffs.peek(from.hash, to.hash); ok {
+		f.d = d
+	} else {
+		st.diffs.computes.Add(1)
+		f.d = core.DiffLists(from.list, to.list)
+		st.memoDiff(from, to, f.d)
+	}
 	st.flightMu.Lock()
 	delete(st.flights, k)
 	st.flightMu.Unlock()

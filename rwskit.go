@@ -268,19 +268,19 @@ type ServerSnapshot = serve.Snapshot
 // keeping the precompute off the serving path.
 func NewServerSnapshot(list *List) *ServerSnapshot { return serve.NewSnapshot(list) }
 
-// SnapshotOptions configures BuildServerSnapshot: construction shard
-// count, a memory budget with graceful degradation, and the retained
-// serial reference path.
+// SnapshotOptions configures BuildServerSnapshot: the construction shard
+// count and a memory budget. The budget must hold the query tables; the
+// /v1/list export body is kept only if it fits as well.
 type SnapshotOptions = serve.SnapshotOptions
 
 // SnapshotBuildInfo reports how a snapshot was constructed (shards,
-// build time, estimated footprint, budget decisions); also surfaced by
-// /v1/metrics as snapshot_build.
+// build time, estimated footprint, and the budget tier: "full" or
+// "list-dropped"); also surfaced by /v1/metrics as snapshot_build.
 type SnapshotBuildInfo = serve.BuildInfo
 
 // BuildServerSnapshot is NewServerSnapshot with explicit construction
 // options. It errors only when a MemoryBudget is set and the list's
-// derived tables cannot fit even after degrading.
+// query tables (host index, member table, role tables) cannot fit it.
 func BuildServerSnapshot(list *List, opts SnapshotOptions) (*ServerSnapshot, error) {
 	return serve.BuildSnapshot(list, opts)
 }
