@@ -91,7 +91,8 @@ func randomString(rng *rand.Rand) string {
 }
 
 // encoderTestSnapshots is the property-test corpus: the embedded real
-// list and two amplified lists, each built at shard counts 1, 2 and 7.
+// list and two amplified lists, each built at shard counts 1, 2 and 7,
+// plus the serial reference build of the embedded list.
 func encoderTestSnapshots(t *testing.T) map[string]*Snapshot {
 	t.Helper()
 	lists := map[string]*core.List{}
@@ -117,6 +118,9 @@ func encoderTestSnapshots(t *testing.T) map[string]*Snapshot {
 			snaps[fmt.Sprintf("%s-shards%d", name, shards)] = snap
 		}
 	}
+	// The serial reference build feeds the same handlers, so the encoders
+	// are held to encoding/json on its tables as well.
+	snaps["embedded-serial"] = buildSerial(embedded)
 	return snaps
 }
 
@@ -165,7 +169,8 @@ func probeHosts(snap *Snapshot) []string {
 // every append* encoder writes exactly the bytes encoding/json writes
 // for the same value. Random values exercise the escapes and the float
 // format directly; then, across the embedded and amplified lists at
-// shard counts 1, 2 and 7, every query endpoint is driven through the
+// shard counts 1, 2 and 7 (and the embedded list's serial reference
+// build), every query endpoint is driven through the
 // real handler for every probe pair (same-set under every role
 // combination present, cross-set, same-host, off-list, escaped echoes)
 // and every policy spelling, in the point and batch forms, compact,
