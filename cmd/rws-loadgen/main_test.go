@@ -190,9 +190,9 @@ func timelineTarget(t *testing.T) *httptest.Server {
 	}
 	st := serve.NewStore(4)
 	jan := time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC)
-	st.Add(oldList, core.Version{Source: "timeline:2023-01", ObservedAt: jan, AsOf: jan})
+	st.AddSnapshot(serve.NewSnapshot(oldList), core.Version{Source: "timeline:2023-01", ObservedAt: jan, AsOf: jan})
 	mar := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
-	st.Add(newList, core.Version{Source: "timeline:2024-03", ObservedAt: mar, AsOf: mar})
+	st.AddSnapshot(serve.NewSnapshot(newList), core.Version{Source: "timeline:2024-03", ObservedAt: mar, AsOf: mar})
 	ts := httptest.NewServer(serve.NewFromStore(st))
 	t.Cleanup(ts.Close)
 	return ts

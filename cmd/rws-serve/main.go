@@ -13,11 +13,13 @@
 // list of N sets instead (rws-amplify's generator; -amplify-seed picks
 // the seed) — the scale-tier target for load and soak testing. -mem-budget
 // caps the estimated bytes of each snapshot's derived tables: a list
-// whose query tables (host index, /v1/set member table, role tables) do
-// not fit is rejected, and when they fit but the /v1/list export body
-// does not, the snapshot keeps the query tables only (tier
-// "list-dropped": /v1/list encodes the list per request, same bytes);
-// the tier is reported in /v1/metrics under snapshot_build. -list accepts a local JSON file path or an
+// whose query tables (host index, /v1/set member table) do not fit is
+// rejected (fatal at boot; later the last good list keeps serving, and
+// /v1/metrics names the rejected one under "install"), and when they fit
+// but the /v1/list export body does not, the snapshot keeps the query
+// tables only (tier "list-dropped": /v1/list encodes the list per
+// request, same bytes); the tier is reported under snapshot_build. -list
+// accepts a local JSON file path or an
 // http(s):// URL (the upstream related_website_sets.JSON). Either way
 // the list is hot-swapped without dropping traffic: SIGHUP forces a
 // re-read, and -poll re-checks on a ticker — a stat(2) gated on
@@ -109,10 +111,8 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 	srv.SetStrictParams(cfg.strictParams)
 	// A -list pointing at another rws-serve's /v1/list makes this node a
 	// follower: the boot fetch carries the leader's replication headers,
-	// so record the initial sync and advertise the state in /v1/metrics.
+	// and Watch records it and advertises the state in /v1/metrics.
 	if meta.Follows() {
-		srv.FollowUpstream(cfg.list)
-		srv.RecordReplicationSwap(meta)
 		fmt.Fprintf(os.Stderr, "rws-serve: following leader %s (version %.12s)\n", cfg.list, meta.UpstreamVersion)
 	}
 
@@ -123,12 +123,9 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 
 	var wg sync.WaitGroup
 	if src != nil {
-		w := source.NewWatcher(src, cfg.poll, list, func(format string, a ...any) {
+		w := source.NewWatcher(src, cfg.poll, func(format string, a ...any) {
 			fmt.Fprintf(os.Stderr, "rws-serve: "+format+"\n", a...)
 		})
-		// Poll outcomes feed the replication counters (304 streak, poll
-		// errors); cheap no-op bookkeeping when not following.
-		w.OnPoll = srv.RecordReplicationPoll
 		hup := make(chan os.Signal, 1)
 		signal.Notify(hup, syscall.SIGHUP)
 		wg.Add(1)
@@ -144,11 +141,9 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 				}
 			}
 		}()
+		watching := srv.Watch(ctx, w, meta, os.Stderr)
 		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w.Run(ctx, srv.SwapDeliver(os.Stderr))
-		}()
+		go func() { defer wg.Done(); <-watching }()
 	}
 
 	ln, err := net.Listen("tcp", cfg.addr)
@@ -241,7 +236,7 @@ func newServer(cfg config, list *core.List, meta source.Meta) (*serve.Server, er
 		st = serve.NewStoreWith(capacity, opts)
 	}
 	// The boot list's version: the source's own provenance (file mtime /
-	// Last-Modified as the as-of time, exactly what SwapDeliver files
+	// Last-Modified as the as-of time, exactly what Server.Watch files
 	// later revisions under), the amplifier's parameters, or the embedded
 	// snapshot's date. When the timeline's final month already carries
 	// this content (the embedded snapshot IS the final month), keep the
@@ -307,7 +302,7 @@ func parseFlags(args []string) (config, error) {
 	r := fs.Int("retain", serve.DefaultRetain, "list versions kept queryable (widened to fit -timeline)")
 	amp := fs.Int("amplify", 0, "boot from a synthetic amplified list of N sets (scale testing; excludes -list/-timeline)")
 	ampSeed := fs.Int64("amplify-seed", 1, "seed for -amplify (same seed reproduces the same list)")
-	mb := fs.Int64("mem-budget", 0, "snapshot memory budget in bytes, 0 = unlimited (a list whose query tables do not fit is rejected; the /v1/list export body is kept only if it fits too; see /v1/metrics)")
+	mb := fs.Int64("mem-budget", 0, "snapshot memory budget in bytes, 0 = unlimited (a list whose host index and member table do not fit is rejected and reported under install in /v1/metrics; the /v1/list export body is kept only if it fits too)")
 	sp := fs.Bool("strict-params", false, "reject unknown query parameters with a bad_request envelope on every endpoint (new endpoints always enforce)")
 	if err := fs.Parse(args); err != nil {
 		return config{}, err

@@ -171,9 +171,9 @@ func timelineServer(t *testing.T) *httptest.Server {
 	}
 	st := rwskit.NewServerStore(4)
 	jan := time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC)
-	st.Add(oldList, rwskit.Version{Source: "timeline:2023-01", ObservedAt: jan, AsOf: jan})
+	st.AddSnapshot(rwskit.NewServerSnapshot(oldList), rwskit.Version{Source: "timeline:2023-01", ObservedAt: jan, AsOf: jan})
 	feb := time.Date(2023, 2, 1, 0, 0, 0, 0, time.UTC)
-	st.Add(newList, rwskit.Version{Source: "timeline:2023-02", ObservedAt: feb, AsOf: feb})
+	st.AddSnapshot(rwskit.NewServerSnapshot(newList), rwskit.Version{Source: "timeline:2023-02", ObservedAt: feb, AsOf: feb})
 	ts := httptest.NewServer(rwskit.NewServerFromStore(st))
 	t.Cleanup(ts.Close)
 	return ts

@@ -81,7 +81,7 @@ func BenchmarkServeSameSetUnderSwaps(b *testing.B) {
 			case <-stop:
 				return
 			default:
-				s.SwapSnapshot(snaps[i%2])
+				s.store.AddSnapshot(snaps[i%2], core.Version{Source: "swap"})
 			}
 		}
 	}()
@@ -262,7 +262,7 @@ func BenchmarkStoreCurrent(b *testing.B) {
 		b.Fatal(err)
 	}
 	st := NewStore(4)
-	st.Add(list, core.Version{})
+	add(st, list, core.Version{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -282,7 +282,7 @@ func BenchmarkStoreResolveAsOf(b *testing.B) {
 	st := NewStore(len(tl.Snapshots) + 1)
 	for _, snap := range tl.Snapshots {
 		asOf, _ := time.Parse("2006-01", snap.Month)
-		st.Add(snap.List, core.Version{Source: "timeline:" + snap.Month, ObservedAt: asOf, AsOf: asOf})
+		add(st, snap.List, core.Version{Source: "timeline:" + snap.Month, ObservedAt: asOf, AsOf: asOf})
 	}
 	at, _ := parseAsOf("2023-07")
 	b.ReportAllocs()
@@ -305,7 +305,7 @@ func timelineBenchStore(b *testing.B) *Store {
 	st := NewStore(len(tl.Snapshots) + 1)
 	for _, snap := range tl.Snapshots {
 		asOf, _ := time.Parse("2006-01", snap.Month)
-		st.Add(snap.List, core.Version{Source: "timeline:" + snap.Month, ObservedAt: asOf, AsOf: asOf})
+		add(st, snap.List, core.Version{Source: "timeline:" + snap.Month, ObservedAt: asOf, AsOf: asOf})
 	}
 	return st
 }

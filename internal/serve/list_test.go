@@ -147,7 +147,7 @@ func TestListConditionalGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Swap(replacement)
+	swapList(s, replacement)
 	resp := getWith(t, ts.URL+"/v1/list", map[string]string{"If-None-Match": etag})
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"sort"
 	"testing"
 
 	"rwskit/internal/amplify"
@@ -16,9 +15,9 @@ import (
 
 // equalSnapshots holds two snapshots to exact equality across every
 // public query surface and the precomputed verdict tables: host-index
-// answers for every member site (plus off-list probes), the /v1/set
-// member table, role tables, composition stats, and the full per-policy
-// sameSet/cross verdict tables.
+// answers for every member site (plus off-list probes) and the index
+// size, the /v1/set member table, composition stats, and the full
+// per-policy sameSet/cross verdict tables.
 func equalSnapshots(t *testing.T, label string, got, want *Snapshot) {
 	t.Helper()
 	if got.Hash() != want.Hash() {
@@ -31,16 +30,14 @@ func equalSnapshots(t *testing.T, label string, got, want *Snapshot) {
 	if got.stats != want.stats {
 		t.Errorf("%s: stats %+v != %+v", label, got.stats, want.stats)
 	}
-	for r := core.Role(0); int(r) < numRoles; r++ {
-		g, w := got.SitesByRole(r), want.SitesByRole(r)
-		if len(g) != len(w) {
-			t.Fatalf("%s: role %s table has %d entries, want %d", label, r, len(g), len(w))
+	hosts := func(s *Snapshot) (n int) {
+		for _, sh := range s.hostShards {
+			n += len(sh)
 		}
-		for i := range g {
-			if g[i] != w[i] {
-				t.Fatalf("%s: role %s entry %d = %q, want %q", label, r, i, g[i], w[i])
-			}
-		}
+		return n
+	}
+	if g, w := hosts(got), hosts(want); g != w {
+		t.Fatalf("%s: host index holds %d hosts, want %d", label, g, w)
 	}
 	// Verdict tables, cell by cell.
 	for pid := 0; pid < int(numPolicies); pid++ {
@@ -127,8 +124,8 @@ func equalMemberTables(t *testing.T, label string, got, want *Snapshot) {
 
 // buildSerial is the single-threaded reference construction the parallel
 // build is held to: one pass over the sets in list order filling a
-// single-shard host index, the member table, and the role tables, then a
-// full-scan verdict builder per policy.
+// single-shard host index and the member table, then a full-scan verdict
+// builder per policy.
 func buildSerial(list *core.List) *Snapshot {
 	s := newSnapshot(list, 1)
 	hosts := make(map[string]hostEntry, s.numSites)
@@ -138,14 +135,10 @@ func buildSerial(list *core.List) *Snapshot {
 		for j, m := range ms {
 			row[j] = SetMember{Site: m.Site, Role: m.Role.String(), AliasOf: m.AliasOf}
 			hosts[m.Site] = hostEntry{set: set, setIdx: int32(i), role: m.Role}
-			s.byRole[m.Role] = append(s.byRole[m.Role], m.Site)
 		}
 		s.members[i] = row
 	}
 	s.hostShards[0] = hosts
-	for r := range s.byRole {
-		sort.Strings(s.byRole[r])
-	}
 	for pid := range s.policies {
 		buildVerdictsSerial(s, policyID(pid))
 	}

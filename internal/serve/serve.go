@@ -4,9 +4,9 @@
 // users" north star asks for on top of the rwskit core.
 //
 // Queries are answered from a Snapshot — a precomputed query plane
-// (normalized host index, per-role membership tables, per-policy
+// (normalized host index, /v1/set member table, per-policy
 // partition-verdict table, composition stats) derived from a *core.List
-// once, at New/Swap time. Snapshots live in a Store: a bounded version
+// once, at install time. Snapshots live in a Store: a bounded version
 // store keyed by list content hash that retains the last N revisions, so
 // the list can be hot-swapped (e.g. on SIGHUP, on a -poll tick, or when
 // upstream publishes a new related_website_sets.JSON) without pausing
@@ -52,6 +52,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -145,14 +146,14 @@ func (s *Server) SetStrictParams(on bool) { s.strictParams.Store(on) }
 // versions; use NewFromStore to choose the capacity or preload history.
 func New(list *core.List) *Server {
 	st := NewStore(DefaultRetain)
-	st.Add(list, core.Version{Source: "boot", ObservedAt: time.Now(), AsOf: time.Now()})
+	st.AddSnapshot(NewSnapshot(list), core.Version{Source: "boot", ObservedAt: time.Now(), AsOf: time.Now()})
 	return NewFromStore(st)
 }
 
 // NewFromStore returns a server answering queries from st, which must
 // hold at least one version (the current one). The caller keeps a
-// reference to st and may Add to it under traffic; rws-serve -timeline
-// preloads the monthly study-window snapshots this way.
+// reference to st and may AddList to it under traffic; rws-serve
+// -timeline preloads the monthly study-window snapshots this way.
 func NewFromStore(st *Store) *Server {
 	if st.Current() == nil {
 		panic("serve: NewFromStore requires a store with a current version")
@@ -185,49 +186,54 @@ func (s *Server) Snapshot() *Snapshot { return s.store.Current() }
 // List returns the list behind the snapshot currently serving queries.
 func (s *Server) List() *core.List { return s.Snapshot().list }
 
-// Swap precomputes a fresh snapshot from list and atomically installs it
-// as the current version; the superseded version stays queryable until
-// evicted. Safe under traffic: requests already executing keep the
-// snapshot they loaded; subsequent requests see the new one. The
-// precompute runs on the caller, never on the request path.
-func (s *Server) Swap(list *core.List) {
-	s.store.Add(list, core.Version{Source: "swap", ObservedAt: time.Now(), AsOf: time.Now()})
-}
-
-// SwapSnapshot installs an already-built snapshot as the current
-// version, for callers that want to precompute off the serving goroutine
-// entirely.
-func (s *Server) SwapSnapshot(snap *Snapshot) {
-	s.store.AddSnapshot(snap, core.Version{Source: "swap", ObservedAt: time.Now(), AsOf: time.Now()})
-}
-
-// SwapDeliver returns a source.Watcher delivery callback that installs
-// each delivered revision into the version store (Meta → Version) and
-// logs the change to logw. The snapshot precompute runs on the watcher
-// goroutine, never on the request path. A revision that fails to build
-// (a list over the store's memory budget) is logged with its error and
-// installs nothing: the previous snapshot keeps serving and the
-// replication state keeps naming it.
-func (s *Server) SwapDeliver(logw io.Writer) func(source.Swap) {
-	return func(sw source.Swap) {
-		ver := sw.Meta.Version()
-		if ver.ObservedAt.IsZero() {
-			ver.ObservedAt = time.Now()
-		}
-		if ver.AsOf.IsZero() {
-			ver.AsOf = ver.ObservedAt
-		}
-		if _, err := s.store.AddList(sw.List, ver); err != nil {
-			fmt.Fprintf(logw, "serve: failed to install list from %s (%d sets, hash %.12s), still serving %.12s: %v\n",
-				sw.Meta.Location, sw.List.NumSets(), sw.Meta.Hash, s.Snapshot().hash, err)
-			return
-		}
-		if sw.Meta.Follows() {
-			s.RecordReplicationSwap(sw.Meta)
-		}
-		fmt.Fprintf(logw, "serve: swapped list from %s (%d sets, hash %.12s): %s\n",
-			sw.Meta.Location, sw.List.NumSets(), sw.Meta.Hash, sw.Diff.Summary())
+// Watch runs w until ctx is cancelled, installing every revision it
+// delivers, and returns a channel closed when w has stopped. boot is the
+// meta of the store's current revision as fetched from w's source; when
+// it names a leader, /v1/metrics carries the replication block, and
+// w.OnPoll feeds it each poll's outcome.
+func (s *Server) Watch(ctx context.Context, w *source.Watcher, boot source.Meta, logw io.Writer) <-chan struct{} {
+	if boot.Follows() {
+		s.recordSync(boot)
 	}
+	w.OnPoll = s.recordPoll
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w.Run(ctx, func(sw source.Swap) error { return s.install(sw, logw) })
+	}()
+	return done
+}
+
+// install files a delivered revision under its provenance and logs it
+// with the store's own diff from the version it superseded — memoized
+// by AddSnapshot, and peeked so the request-path cache counters do not
+// move. A revision that fails to build is logged and installs nothing.
+func (s *Server) install(sw source.Swap, logw io.Writer) error {
+	ver := sw.Meta.Version()
+	if ver.ObservedAt.IsZero() {
+		ver.ObservedAt = time.Now()
+	}
+	if ver.AsOf.IsZero() {
+		ver.AsOf = ver.ObservedAt
+	}
+	prev := s.store.Current()
+	snap, err := s.store.AddList(sw.List, ver)
+	if err != nil {
+		fmt.Fprintf(logw, "serve: failed to install list from %s (%d sets, hash %.12s), still serving %.12s: %v\n",
+			sw.Meta.Location, sw.List.NumSets(), sw.Meta.Hash, prev.hash, err)
+		return err
+	}
+	if sw.Meta.Follows() {
+		s.recordSync(sw.Meta)
+	}
+	d, ok := s.store.diffs.peek(prev.hash, snap.hash)
+	if !ok && prev.hash != snap.hash {
+		// Not memoized: a retain-1 store evicted prev in this install.
+		d = core.DiffLists(prev.list, snap.list)
+	}
+	fmt.Fprintf(logw, "serve: swapped list from %s (%d sets, hash %.12s): %s\n",
+		sw.Meta.Location, sw.List.NumSets(), snap.hash, d.Summary())
+	return nil
 }
 
 // ServeHTTP implements http.Handler.
@@ -700,7 +706,8 @@ type MetricsResponse struct {
 	// SnapshotBuild reports how the current snapshot was constructed —
 	// shard count, build time, estimated footprint, and whether a memory
 	// budget dropped the /v1/list export body.
-	SnapshotBuild BuildInfo `json:"snapshot_build"`
+	SnapshotBuild BuildInfo      `json:"snapshot_build"`
+	Install       InstallMetrics `json:"install"`
 	// VersionsRetained / VersionsCapacity is the version-store occupancy.
 	VersionsRetained int               `json:"versions_retained"`
 	VersionsCapacity int               `json:"versions_capacity"`
@@ -722,11 +729,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	dc := s.store.diffs.metrics()
 	infos := s.store.Versions()
+	cur := s.Snapshot()
 	resp := MetricsResponse{
 		Requests:         s.requests.Load(),
 		ListSwaps:        s.store.Swaps(),
-		SnapshotHash:     s.Snapshot().hash,
-		SnapshotBuild:    s.Snapshot().BuildInfo(),
+		SnapshotHash:     cur.hash,
+		SnapshotBuild:    cur.BuildInfo(),
+		Install:          s.store.Installs(),
 		VersionsRetained: s.store.Len(),
 		VersionsCapacity: s.store.Cap(),
 		DiffCache: DiffCacheMetrics{
@@ -740,7 +749,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		},
 		VersionHits: make([]VersionHits, 0, len(infos)),
 		Endpoints:   make([]EndpointMetrics, 0, numEndpoints),
-		Replication: s.Replication(),
+		Replication: s.replication(cur),
 	}
 	for _, vi := range infos {
 		resp.VersionHits = append(resp.VersionHits, VersionHits{

@@ -305,7 +305,7 @@ func TestHotSwapUnderTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Swap(replacement)
+	swapList(s, replacement)
 
 	if sameSet("bild.de", "autobild.de") {
 		t.Error("after swap, the old list should no longer answer")
@@ -327,7 +327,7 @@ func TestHotSwapUnderTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Swap(orig)
+	swapList(s, orig)
 	if !sameSet("bild.de", "autobild.de") {
 		t.Error("after swapping back, the seed snapshot should answer again")
 	}
@@ -353,9 +353,9 @@ func TestConcurrentQueriesDuringSwaps(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 200; i++ {
 			if i%2 == 0 {
-				s.Swap(alt)
+				swapList(s, alt)
 			} else {
-				s.Swap(orig)
+				swapList(s, orig)
 			}
 		}
 	}()
@@ -392,7 +392,7 @@ func newTimelineServer(t *testing.T) (*Server, *httptest.Server) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.Add(snap.List, core.Version{Source: "timeline:" + snap.Month, ObservedAt: asOf, AsOf: asOf})
+		add(st, snap.List, core.Version{Source: "timeline:" + snap.Month, ObservedAt: asOf, AsOf: asOf})
 	}
 	s := NewFromStore(st)
 	ts := httptest.NewServer(s)
@@ -616,7 +616,7 @@ func TestMetricsOccupancy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Swap(replacement)
+	swapList(s, replacement)
 	body = MetricsResponse{}
 	if code := getJSON(t, ts.URL+"/v1/metrics", &body); code != http.StatusOK {
 		t.Fatalf("status %d", code)
@@ -640,7 +640,7 @@ func TestSupersededVersionStaysQueryable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Swap(replacement)
+	swapList(s, replacement)
 
 	var cur SameSetResponse
 	if code := getJSON(t, ts.URL+"/v1/sameset?a=bild.de&b=autobild.de", &cur); code != http.StatusOK {

@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,7 +82,7 @@ type SnapshotOptions struct {
 	Shards int
 	// MemoryBudget caps the estimated bytes of the snapshot's derived
 	// tables. 0 means unlimited. The query tables (host index, /v1/set
-	// member table, role tables) must fit or BuildSnapshot errors; the
+	// member table) must fit or BuildSnapshot errors; the
 	// /v1/list export body is kept only if it fits too, and otherwise
 	// /v1/list encodes the list per request (same bytes). The decision is
 	// recorded in BuildInfo and surfaced by /v1/metrics.
@@ -114,7 +113,6 @@ type BuildInfo struct {
 //
 //   - a normalized host index (every member keyed by canonical host),
 //     sharded so construction parallelises and lookups touch one shard,
-//   - per-role membership tables,
 //   - the /v1/set member table (one member slice per set),
 //   - composition statistics,
 //   - a per-policy partition-verdict table over (topRole, embRole,
@@ -124,8 +122,8 @@ type BuildInfo struct {
 //     export body.
 //
 // A Snapshot's query plane is never mutated after construction returns,
-// so any number of request goroutines may read it without locks;
-// Server.Swap installs a fresh one atomically. The one mutable field is
+// so any number of request goroutines may read it without locks; the
+// Store installs a fresh one atomically. The one mutable field is
 // the atomic requests counter, which feeds the per-version hit metrics.
 type Snapshot struct {
 	list *core.List
@@ -152,7 +150,6 @@ type Snapshot struct {
 	// with a row of it, so the response needs no allocation (core.Set's
 	// Members allocates and sorts).
 	members [][]SetMember
-	byRole  [numRoles][]string
 
 	stats    core.CompositionStats
 	numSites int
@@ -194,12 +191,11 @@ func BuildSnapshot(list *core.List, opts SnapshotOptions) (*Snapshot, error) {
 	hostBytes, memberBytes := s.buildParallel(s.info.Shards)
 
 	// The estimate covers the big derived tables: the sharded host index
-	// (key bytes + entry/bucket overhead), the member table (string bytes
-	// + struct + slice headers), and the role tables (one string header
-	// per member per table). Queries cannot be answered without them, so
-	// they must fit; the /v1/list export body is kept only if it fits
-	// too, since /v1/list can encode the list per request instead.
-	estimated := hostBytes + memberBytes + int64(s.numSites)*16
+	// (key bytes + entry/bucket overhead) and the member table (string
+	// bytes + struct + slice headers). Queries cannot be answered without
+	// them, so they must fit; the /v1/list export body is kept only if it
+	// fits too, since /v1/list can encode the list per request instead.
+	estimated := hostBytes + memberBytes
 	if opts.MemoryBudget > 0 && estimated > opts.MemoryBudget {
 		return nil, fmt.Errorf("serve: snapshot query tables need an estimated %d bytes; memory budget is %d", estimated, opts.MemoryBudget)
 	}
@@ -311,7 +307,6 @@ type repPair struct {
 // contiguous set range, merged deterministically in phase B.
 type workerOut struct {
 	perShard    [][]shardKV
-	byRole      [numRoles][]string
 	reps        [numRoles][numRoles]repPair
 	hostBytes   int64
 	memberBytes int64
@@ -320,12 +315,10 @@ type workerOut struct {
 // buildParallel partitions the sets across `shards` workers. Each worker
 // owns a contiguous set range: it builds member slices (written to
 // disjoint indices of s.members, race-free), routes host-index entries to
-// per-(worker,shard) buffers, accumulates worker-local role tables, and
-// records its first member pair per (topRole, embRole) combination. Phase
-// B then merges: per-shard maps are built in parallel with workers
-// applied in order, role tables are concatenated in worker order and
-// sorted (the sort makes the result order-insensitive anyway), and
-// verdict representatives are merged by taking the first worker's pair —
+// per-(worker,shard) buffers, and records its first member pair per
+// (topRole, embRole) combination. Phase B then merges: per-shard maps are
+// built in parallel with workers applied in order, and verdict
+// representatives are merged by taking the first worker's pair —
 // worker ranges are ordered, so that is exactly the globally-first pair
 // the serial path would have evaluated. Each verdict cell then gets one
 // fresh-profile evaluation per policy, identical to the serial result
@@ -351,7 +344,6 @@ func (s *Snapshot) buildParallel(shards int) (hostBytes, memberBytes int64) {
 					pre[j] = SetMember{Site: m.Site, Role: m.Role.String(), AliasOf: m.AliasOf}
 					sh := shardOf(m.Site, shards)
 					out.perShard[sh] = append(out.perShard[sh], shardKV{m.Site, hostEntry{set: set, setIdx: int32(i), role: m.Role}})
-					out.byRole[m.Role] = append(out.byRole[m.Role], m.Site)
 					out.hostBytes += int64(len(m.Site)) + 64
 					present[m.Role] = true
 				}
@@ -412,18 +404,6 @@ func (s *Snapshot) buildParallel(shards int) (hostBytes, memberBytes int64) {
 	}
 	wg.Wait()
 
-	for r := 0; r < numRoles; r++ {
-		n := 0
-		for _, out := range outs {
-			n += len(out.byRole[r])
-		}
-		merged := make([]string, 0, n)
-		for _, out := range outs {
-			merged = append(merged, out.byRole[r]...)
-		}
-		sort.Strings(merged)
-		s.byRole[r] = merged
-	}
 	for _, out := range outs {
 		hostBytes += out.hostBytes
 		memberBytes += out.memberBytes
@@ -476,15 +456,6 @@ func (s *Snapshot) NumSites() int { return s.numSites }
 
 // BuildInfo reports how the snapshot was constructed.
 func (s *Snapshot) BuildInfo() BuildInfo { return s.info }
-
-// SitesByRole returns the canonical member hosts holding role, sorted.
-// The slice is shared; callers must not mutate it.
-func (s *Snapshot) SitesByRole(role core.Role) []string {
-	if role < 0 || int(role) >= numRoles {
-		return nil
-	}
-	return s.byRole[role]
-}
 
 // SameSet answers a relatedness query against the precomputed host index.
 // Inputs may be any legitimate host spelling (scheme, port, trailing dot,

@@ -193,24 +193,21 @@ func TestSnapshotAccessors(t *testing.T) {
 		core.RoleService:    st.ServiceSites,
 		core.RoleCCTLD:      st.CCTLDSites,
 	}
-	total := 0
-	for role, want := range byRole {
-		sites := snap.SitesByRole(role)
-		if len(sites) != want {
-			t.Errorf("SitesByRole(%s) = %d sites, want %d", role, len(sites), want)
-		}
-		for _, site := range sites {
-			if _, r, ok := list.FindSet(site); !ok || r != role {
-				t.Errorf("SitesByRole(%s) contains %q with role %v", role, site, r)
+	// The host index files every member under the role the list gives it.
+	got := map[core.Role]int{}
+	for _, set := range list.Sets() {
+		for _, m := range set.Members() {
+			e, ok := snap.lookup(m.Site)
+			if _, r, found := list.FindSet(m.Site); !ok || !found || e.role != r {
+				t.Errorf("lookup(%q) = (%v, role %v), want role %v", m.Site, ok, e.role, r)
 			}
+			got[e.role]++
 		}
-		total += len(sites)
 	}
-	if total != list.NumSites() {
-		t.Errorf("role tables cover %d sites, want %d", total, list.NumSites())
-	}
-	if snap.SitesByRole(core.Role(99)) != nil {
-		t.Error("out-of-range role should return nil")
+	for role, want := range byRole {
+		if got[role] != want {
+			t.Errorf("host index holds %d %s sites, want %d", got[role], role, want)
+		}
 	}
 }
 
@@ -477,7 +474,7 @@ func TestStatsCarriesSnapshotHash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Swap(alt)
+	swapList(s, alt)
 	var after StatsResponse
 	if code := getJSON(t, ts.URL+"/v1/stats", &after); code != http.StatusOK {
 		t.Fatalf("status %d", code)

@@ -78,20 +78,32 @@ type Store struct {
 	flightMu sync.Mutex
 	flights  map[diffKey]*diffFlight // guarded by flightMu
 
-	// opts configures how Add/AddList build snapshots (shard count,
-	// memory budget). Immutable after construction.
+	// opts configures how AddList builds snapshots (shard count, memory
+	// budget). Immutable after construction.
 	opts SnapshotOptions
+
+	installs InstallMetrics // guarded by mu
+}
+
+// InstallMetrics is the install block of a /v1/metrics response: how
+// many AddList builds failed, and the pending failure — a newer revision
+// than the current one that could not be built, until an install
+// succeeds.
+type InstallMetrics struct {
+	Failures     uint64 `json:"failures"`
+	PendingHash  string `json:"pending_hash,omitempty"`
+	PendingError string `json:"pending_error,omitempty"`
 }
 
 // NewStore returns an empty store retaining up to capacity versions
 // (capacity < 1 selects DefaultRetain). The store serves no queries
-// until the first Add.
+// until the first install.
 func NewStore(capacity int) *Store {
 	return NewStoreWith(capacity, SnapshotOptions{})
 }
 
 // NewStoreWith is NewStore with explicit snapshot-construction options,
-// applied to every list the store precomputes (Add/AddList). Snapshots
+// applied to every list the store precomputes (AddList). Snapshots
 // installed directly via AddSnapshot are the caller's to configure.
 func NewStoreWith(capacity int, opts SnapshotOptions) *Store {
 	if capacity < 1 {
@@ -115,7 +127,7 @@ type diffFlight struct {
 }
 
 // Current returns the snapshot answering unversioned queries. Lock-free;
-// this is the request fast path. Nil only before the first Add.
+// this is the request fast path. Nil only before the first install.
 //
 //rws:hotpath
 //rws:allocfree
@@ -135,28 +147,30 @@ func (st *Store) Len() int {
 // initial install.
 func (st *Store) Swaps() uint64 { return st.swaps.Load() }
 
-// Add precomputes a snapshot for list and installs it as the current
-// version. The precompute runs on the caller, never on the request path.
-// The result is nil only when the store was built with a MemoryBudget
-// the list's query tables do not fit; budgeted callers should prefer
-// AddList, which reports that error.
-func (st *Store) Add(list *core.List, ver core.Version) *Snapshot {
-	snap, _ := st.AddList(list, ver)
-	return snap
-}
-
 // AddList precomputes a snapshot for list under the store's snapshot
 // options and installs it as the current version. The precompute runs on
-// the caller, never on the request path. Construction can only fail when
-// the store is configured with a MemoryBudget; on error nothing is
-// installed and the previous current version keeps serving.
+// the caller, never on the request path. It is the one place an install
+// can fail: under a MemoryBudget the list's query tables do not fit,
+// nothing is installed, the previous current version keeps serving, and
+// Installs reports the failure as pending.
 func (st *Store) AddList(list *core.List, ver core.Version) (*Snapshot, error) {
 	snap, err := BuildSnapshot(list, st.opts)
 	if err != nil {
+		hash := list.Hash()
+		st.mu.Lock()
+		st.installs = InstallMetrics{Failures: st.installs.Failures + 1, PendingHash: hash, PendingError: err.Error()}
+		st.mu.Unlock()
 		return nil, err
 	}
 	st.AddSnapshot(snap, ver)
 	return snap, nil
+}
+
+// Installs reports the failed installs and the pending one.
+func (st *Store) Installs() InstallMetrics {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.installs
 }
 
 // AddSnapshot installs an already-built snapshot as the current version,
@@ -191,12 +205,13 @@ func (st *Store) AddSnapshot(snap *Snapshot, ver core.Version) {
 	}
 	prev := st.cur.Load()
 	st.cur.Store(snap)
+	st.installs.PendingHash, st.installs.PendingError = "", ""
 	st.evictLocked()
 	st.mu.Unlock()
 	if prev != nil && prev.hash != snap.hash {
 		st.swaps.Add(1)
 		// Swap-time adjacent-pair precompute: the superseded→current diff
-		// (and its inverse) is the pair the watcher log, /v1/diff, and
+		// (and its inverse) is the pair the install log, /v1/diff, and
 		// churn walks ask for first. Computed here on the swap caller,
 		// never on the request path, and skipped when a flapping source
 		// already left the pair warm — or when prev itself was evicted by
@@ -396,14 +411,6 @@ func (st *Store) currentLocked() (*Snapshot, core.Version, bool) {
 		return nil, core.Version{}, false
 	}
 	return cur, e.ver, true
-}
-
-// CurrentVersion returns the current snapshot's version descriptor.
-func (st *Store) CurrentVersion() (core.Version, bool) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	_, ver, ok := st.currentLocked()
-	return ver, ok
 }
 
 // Versions lists the retained versions, oldest first.

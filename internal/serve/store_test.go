@@ -32,22 +32,37 @@ func monthVersion(month string) core.Version {
 	return core.Version{Source: "test:" + month, ObservedAt: t, AsOf: t}
 }
 
+// add installs list as st's current version and returns its snapshot.
+// The stores it is used on have no memory budget, so the build cannot
+// fail.
+func add(st *Store, list *core.List, ver core.Version) *Snapshot {
+	snap := NewSnapshot(list)
+	st.AddSnapshot(snap, ver)
+	return snap
+}
+
+// swapList installs list as s's current version, the way a hot swap
+// under traffic does.
+func swapList(s *Server, list *core.List) {
+	add(s.store, list, core.Version{Source: "swap", ObservedAt: time.Now(), AsOf: time.Now()})
+}
+
 func TestStoreAddCurrentAndSwaps(t *testing.T) {
 	st := NewStore(4)
 	if st.Current() != nil || st.Len() != 0 {
 		t.Fatal("fresh store should be empty")
 	}
-	a := st.Add(listWithPrimary(t, "alpha"), monthVersion("2023-01"))
+	a := add(st, listWithPrimary(t, "alpha"), monthVersion("2023-01"))
 	if st.Current() != a || st.Swaps() != 0 {
 		t.Errorf("after first Add: current=%p swaps=%d, want the snapshot and 0 swaps", st.Current(), st.Swaps())
 	}
-	b := st.Add(listWithPrimary(t, "beta"), monthVersion("2023-02"))
+	b := add(st, listWithPrimary(t, "beta"), monthVersion("2023-02"))
 	if st.Current() != b || st.Swaps() != 1 || st.Len() != 2 {
 		t.Errorf("after second Add: swaps=%d len=%d", st.Swaps(), st.Len())
 	}
-	ver, ok := st.CurrentVersion()
-	if !ok || ver.Hash != b.Hash() || ver.Source != "test:2023-02" {
-		t.Errorf("CurrentVersion = %+v, %v", ver, ok)
+	_, ver, err := st.ByHash("current")
+	if err != nil || ver.Hash != b.Hash() || ver.Source != "test:2023-02" {
+		t.Errorf("ByHash(current) = %+v, %v", ver, err)
 	}
 }
 
@@ -58,15 +73,15 @@ func TestStoreAddCurrentAndSwaps(t *testing.T) {
 func TestStoreDedupByHash(t *testing.T) {
 	st := NewStore(4)
 	list := listWithPrimary(t, "alpha")
-	st.Add(list, monthVersion("2023-01"))
-	st.Add(list, monthVersion("2023-06"))
+	add(st, list, monthVersion("2023-01"))
+	add(st, list, monthVersion("2023-06"))
 	if st.Len() != 1 {
 		t.Errorf("len = %d after re-adding the same content, want 1", st.Len())
 	}
 	if st.Swaps() != 0 {
 		t.Errorf("swaps = %d for an identical re-add, want 0", st.Swaps())
 	}
-	ver, _ := st.CurrentVersion()
+	_, ver, _ := st.ByHash("current")
 	if ver.Source != "test:2023-06" || ver.Hash == "" {
 		t.Errorf("provenance = %+v, want the latest source with the hash filled in", ver)
 	}
@@ -74,8 +89,8 @@ func TestStoreDedupByHash(t *testing.T) {
 	// under the flap's provenance: AsOf(now) must agree with the
 	// unversioned plane, not resolve to the superseded middle version.
 	other := listWithPrimary(t, "beta")
-	st.Add(other, monthVersion("2023-02"))
-	st.Add(list, monthVersion("2023-03"))
+	add(st, other, monthVersion("2023-02"))
+	add(st, list, monthVersion("2023-03"))
 	if st.Len() != 2 || st.Swaps() != 2 {
 		t.Errorf("after flapping: len=%d swaps=%d, want 2/2", st.Len(), st.Swaps())
 	}
@@ -92,7 +107,7 @@ func TestStoreEviction(t *testing.T) {
 	st := NewStore(3)
 	hashes := make([]string, 0, 5)
 	for i, name := range []string{"a", "b", "c", "d", "e"} {
-		snap := st.Add(listWithPrimary(t, name), monthVersion(fmt.Sprintf("2023-%02d", i+1)))
+		snap := add(st, listWithPrimary(t, name), monthVersion(fmt.Sprintf("2023-%02d", i+1)))
 		hashes = append(hashes, snap.Hash())
 	}
 	if st.Len() != 3 {
@@ -120,15 +135,15 @@ func TestStoreEviction(t *testing.T) {
 	if st.Current() != cur || st.Len() != 3 {
 		t.Fatalf("re-install: current=%p len=%d", st.Current(), st.Len())
 	}
-	st.Add(listWithPrimary(t, "f"), monthVersion("2023-09"))
+	add(st, listWithPrimary(t, "f"), monthVersion("2023-09"))
 	if _, _, err := st.ByHash(hashes[2]); !errors.Is(err, ErrVersionNotFound) {
 		t.Errorf("superseded oldest version should be evicted first: %v", err)
 	}
 
 	// Capacity 1 degenerates to the single-snapshot plane.
 	one := NewStore(1)
-	one.Add(listWithPrimary(t, "x"), monthVersion("2023-01"))
-	one.Add(listWithPrimary(t, "y"), monthVersion("2023-02"))
+	add(one, listWithPrimary(t, "x"), monthVersion("2023-01"))
+	add(one, listWithPrimary(t, "y"), monthVersion("2023-02"))
 	if one.Len() != 1 || one.Current().NumSets() != 1 {
 		t.Errorf("capacity-1 store: len=%d", one.Len())
 	}
@@ -136,7 +151,7 @@ func TestStoreEviction(t *testing.T) {
 
 func TestStoreByHashResolution(t *testing.T) {
 	st := NewStore(4)
-	snap := st.Add(listWithPrimary(t, "alpha"), monthVersion("2023-01"))
+	snap := add(st, listWithPrimary(t, "alpha"), monthVersion("2023-01"))
 	full := snap.Hash()
 
 	for _, spec := range []string{full, full[:12], full[:4], "", "current"} {
@@ -177,8 +192,8 @@ func TestStoreByHashAmbiguous(t *testing.T) {
 
 func TestStoreAsOf(t *testing.T) {
 	st := NewStore(4)
-	jan := st.Add(listWithPrimary(t, "january"), monthVersion("2023-01"))
-	mar := st.Add(listWithPrimary(t, "march"), monthVersion("2023-03"))
+	jan := add(st, listWithPrimary(t, "january"), monthVersion("2023-01"))
+	mar := add(st, listWithPrimary(t, "march"), monthVersion("2023-03"))
 
 	for _, tc := range []struct {
 		spec string
@@ -213,8 +228,8 @@ func TestStoreAsOf(t *testing.T) {
 // times, and "current".
 func TestStoreResolveSpellings(t *testing.T) {
 	st := NewStore(4)
-	jan := st.Add(listWithPrimary(t, "january"), monthVersion("2023-01"))
-	mar := st.Add(listWithPrimary(t, "march"), monthVersion("2023-03"))
+	jan := add(st, listWithPrimary(t, "january"), monthVersion("2023-01"))
+	mar := add(st, listWithPrimary(t, "march"), monthVersion("2023-03"))
 	for spec, want := range map[string]*Snapshot{
 		"2023-01":       jan,
 		"2023-02-01":    jan,
@@ -274,7 +289,7 @@ func TestStoreConcurrentAddAndResolve(t *testing.T) {
 // endpoints short-circuit without touching the cache.
 func TestStoreDiffMemoization(t *testing.T) {
 	st := NewStore(4)
-	a := st.Add(listWithPrimary(t, "alpha"), monthVersion("2023-01"))
+	a := add(st, listWithPrimary(t, "alpha"), monthVersion("2023-01"))
 	b := NewSnapshot(listWithPrimary(t, "beta"))
 
 	// b is not retained yet: the diff computes but must not be cached
@@ -314,7 +329,7 @@ func TestStoreDiffCacheInvalidationOnEvict(t *testing.T) {
 	st := NewStore(3)
 	snaps := make([]*Snapshot, 0, 4)
 	for i, name := range []string{"a", "b", "c"} {
-		snaps = append(snaps, st.Add(listWithPrimary(t, name), monthVersion(fmt.Sprintf("2023-%02d", i+1))))
+		snaps = append(snaps, add(st, listWithPrimary(t, name), monthVersion(fmt.Sprintf("2023-%02d", i+1))))
 	}
 	// Fill the cache with every ordered pair.
 	for _, from := range snaps {
@@ -328,7 +343,7 @@ func TestStoreDiffCacheInvalidationOnEvict(t *testing.T) {
 		t.Fatalf("cache holds %d entries, want all 6 ordered pairs", n)
 	}
 	evictedHash := snaps[0].Hash()
-	st.Add(listWithPrimary(t, "d"), monthVersion("2023-04")) // evicts "a"
+	add(st, listWithPrimary(t, "d"), monthVersion("2023-04")) // evicts "a"
 	for _, k := range st.diffs.keys() {
 		if k.from == evictedHash || k.to == evictedHash {
 			t.Errorf("cache still holds %v after evicting %.8s", k, evictedHash)
@@ -375,8 +390,8 @@ func TestStoreChain(t *testing.T) {
 	st := NewStore(4)
 	var vers []core.Version
 	for i, name := range []string{"a", "b", "c"} {
-		st.Add(listWithPrimary(t, name), monthVersion(fmt.Sprintf("2023-%02d", i+1)))
-		ver, _ := st.CurrentVersion()
+		add(st, listWithPrimary(t, name), monthVersion(fmt.Sprintf("2023-%02d", i+1)))
+		_, ver, _ := st.ByHash("current")
 		vers = append(vers, ver)
 	}
 	chain, err := st.Chain(vers[0], vers[2])
@@ -395,8 +410,8 @@ func TestStoreChain(t *testing.T) {
 		t.Errorf("inverted chain: err = %v, want an ordering error", err)
 	}
 	gone := vers[0]
-	st.Add(listWithPrimary(t, "d"), monthVersion("2023-04"))
-	st.Add(listWithPrimary(t, "e"), monthVersion("2023-05")) // evicts "a"
+	add(st, listWithPrimary(t, "d"), monthVersion("2023-04"))
+	add(st, listWithPrimary(t, "e"), monthVersion("2023-05")) // evicts "a"
 	if _, err = st.Chain(gone, vers[2]); !errors.Is(err, ErrVersionNotFound) {
 		t.Errorf("chain from evicted version: err = %v, want ErrVersionNotFound", err)
 	}
@@ -410,7 +425,7 @@ func TestStoreChain(t *testing.T) {
 // only retained hashes.
 func TestDiffAcrossEvictionUnderTraffic(t *testing.T) {
 	st := NewStore(3)
-	st.Add(listWithPrimary(t, "seed"), monthVersion("2022-12"))
+	add(st, listWithPrimary(t, "seed"), monthVersion("2022-12"))
 	s := NewFromStore(st)
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
@@ -512,9 +527,9 @@ func TestDiffAcrossEvictionUnderTraffic(t *testing.T) {
 // warm it first.
 func TestStoreDiffSingleflight(t *testing.T) {
 	st := NewStore(4)
-	a := st.Add(listWithPrimary(t, "alpha"), monthVersion("2023-01"))
-	st.Add(listWithPrimary(t, "beta"), monthVersion("2023-02"))
-	c := st.Add(listWithPrimary(t, "gamma"), monthVersion("2023-03"))
+	a := add(st, listWithPrimary(t, "alpha"), monthVersion("2023-01"))
+	add(st, listWithPrimary(t, "beta"), monthVersion("2023-02"))
+	c := add(st, listWithPrimary(t, "gamma"), monthVersion("2023-03"))
 	if _, ok := st.diffs.get(a.Hash(), c.Hash()); ok {
 		t.Fatal("a→c pair is already warm; the test needs a cold pair")
 	}

@@ -14,9 +14,9 @@
 //
 // Two implementations ship today — FileSource and HTTPSource — and the
 // Watcher drives either on a ticker, delivering Swap events (new list +
-// provenance + core.DiffLists summary) to a consumer such as
-// serve.Server. Future backends (object stores, git checkouts, sharded
-// fan-in) are just more Sources.
+// provenance) to a consumer such as serve.Server, which installs them
+// and owns the record of what is live. Future backends (object stores,
+// git checkouts, sharded fan-in) are just more Sources.
 package source
 
 import (

@@ -14,11 +14,6 @@ type Swap struct {
 	List *core.List
 	// Meta records where the revision came from and its validators.
 	Meta Meta
-	// Diff summarizes the change against the previously delivered (or
-	// initial) list.
-	Diff core.Diff
-	// Forced reports that a Refresh, not a poll tick, produced the swap.
-	Forced bool
 }
 
 // Watcher drives a Source on a ticker and delivers list changes. A poll
@@ -31,24 +26,24 @@ type Watcher struct {
 	interval time.Duration
 	logf     func(format string, args ...any)
 	kick     chan struct{}
-	cur      *core.List // guarded by Run: confined to the polling goroutine
 
-	// OnPoll, if non-nil, observes the outcome of every completed poll:
-	// nil for a delivered swap, ErrNotModified for an unchanged source,
-	// anything else for a failed fetch. It runs on the Run goroutine
-	// after delivery, so a consumer tracking replication state (poll
-	// counts, 304 streaks, last error) sees polls in order. Set it
-	// before calling Run.
+	// OnPoll, if non-nil, observes the one outcome of every completed
+	// poll: ErrNotModified for an unchanged source, the fetch error for a
+	// failed fetch, or else the delivery callback's error — nil only when
+	// the revision was installed. It runs on the Run goroutine after
+	// delivery, so a consumer tracking replication state (poll counts,
+	// 304 streaks, last error) sees polls in order. Set it before calling
+	// Run.
 	OnPoll func(err error)
 }
 
 // NewWatcher returns a Watcher polling src every interval (0 disables
-// the ticker; only Refresh triggers fetches). initial is the list the
-// consumer is already serving, used to diff the first delivered swap;
-// nil means deliver the first revision with an empty diff. logf, if
-// non-nil, receives fetch-failure log lines (a failed poll keeps the
-// current list and is reported, not fatal).
-func NewWatcher(src Source, interval time.Duration, initial *core.List, logf func(format string, args ...any)) *Watcher {
+// the ticker; only Refresh triggers fetches). The first poll of a fresh
+// source delivers its current revision; a consumer that booted from
+// src.Fetch has primed the source's gates, so polls deliver only later
+// changes. logf, if non-nil, receives fetch-failure log lines (a failed
+// poll keeps the current list and is reported, not fatal).
+func NewWatcher(src Source, interval time.Duration, logf func(format string, args ...any)) *Watcher {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
@@ -57,7 +52,6 @@ func NewWatcher(src Source, interval time.Duration, initial *core.List, logf fun
 		interval: interval,
 		logf:     logf,
 		kick:     make(chan struct{}, 1),
-		cur:      initial,
 	}
 }
 
@@ -71,10 +65,10 @@ func (w *Watcher) Refresh() {
 }
 
 // Run polls until ctx is cancelled, calling deliver (on the Run
-// goroutine) for every list change. Consumers that must not block the
-// poll loop should hand off from deliver themselves; serve.Server.Swap
-// is cheap relative to any poll interval and is called directly.
-func (w *Watcher) Run(ctx context.Context, deliver func(Swap)) {
+// goroutine) for every list change; deliver's error is the poll's
+// outcome. Consumers that must not block the poll loop should hand off
+// from deliver themselves; serve.Server.Watch installs on this goroutine.
+func (w *Watcher) Run(ctx context.Context, deliver func(Swap) error) {
 	var tick <-chan time.Time
 	if w.interval > 0 {
 		t := time.NewTicker(w.interval)
@@ -86,28 +80,20 @@ func (w *Watcher) Run(ctx context.Context, deliver func(Swap)) {
 		case <-ctx.Done():
 			return
 		case <-tick:
-			w.poll(ctx, deliver, false)
+			w.poll(ctx, deliver)
 		case <-w.kick:
 			w.src.Invalidate()
-			w.poll(ctx, deliver, true)
+			w.poll(ctx, deliver)
 		}
 	}
 }
 
 // poll performs one fetch and delivers the swap if the list changed.
-// Called only from Run's goroutine, where w.cur is confined.
-//
-//rws:locked Run
-func (w *Watcher) poll(ctx context.Context, deliver func(Swap), forced bool) {
+func (w *Watcher) poll(ctx context.Context, deliver func(Swap) error) {
 	list, meta, err := w.src.Fetch(ctx)
 	switch {
 	case err == nil:
-		var diff core.Diff
-		if w.cur != nil {
-			diff = core.DiffLists(w.cur, list)
-		}
-		w.cur = list
-		deliver(Swap{List: list, Meta: meta, Diff: diff, Forced: forced})
+		err = deliver(Swap{List: list, Meta: meta})
 	case errors.Is(err, ErrNotModified):
 		// Unchanged: nothing to deliver.
 	case ctx.Err() != nil:

@@ -30,7 +30,8 @@ const twoSetJSON = `{"sets":[
 ]}`
 
 // TestWatcherDeliversFileSwaps: ticker-driven polling of a FileSource
-// delivers exactly the real changes, each with the right diff.
+// delivers exactly the real changes. (The diff each install logs is
+// serve's: TestWatchInstallsFileSwaps.)
 func TestWatcherDeliversFileSwaps(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "list.json")
 	if err := os.WriteFile(path, []byte(oneSetJSON), 0o644); err != nil {
@@ -40,16 +41,15 @@ func TestWatcherDeliversFileSwaps(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	initial, _, err := src.Fetch(ctx)
-	if err != nil {
+	if _, _, err := src.Fetch(ctx); err != nil {
 		t.Fatal(err)
 	}
-	w := source.NewWatcher(src, 5*time.Millisecond, initial, nil)
+	w := source.NewWatcher(src, 5*time.Millisecond, nil)
 	swaps := make(chan source.Swap, 16)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		w.Run(ctx, func(sw source.Swap) { swaps <- sw })
+		w.Run(ctx, func(sw source.Swap) error { swaps <- sw; return nil })
 	}()
 
 	// Publish a change under a future mtime so the stat gate opens.
@@ -63,11 +63,8 @@ func TestWatcherDeliversFileSwaps(t *testing.T) {
 
 	select {
 	case sw := <-swaps:
-		if sw.List.NumSets() != 2 || sw.Forced {
-			t.Errorf("swap = %d sets, forced=%v", sw.List.NumSets(), sw.Forced)
-		}
-		if sw.Diff.Summary() != "+sets 1 (c.com)" {
-			t.Errorf("diff summary = %q", sw.Diff.Summary())
+		if sw.List.NumSets() != 2 || sw.Meta.Hash != sw.List.Hash() {
+			t.Errorf("swap = %d sets, meta hash %.12s", sw.List.NumSets(), sw.Meta.Hash)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("watcher never delivered the change")
@@ -88,8 +85,9 @@ func TestWatcherDeliversFileSwaps(t *testing.T) {
 	}
 }
 
-// TestWatcherRefresh: with no ticker, only Refresh triggers fetches —
-// and a refresh of identical content delivers nothing (hash gate).
+// TestWatcherRefresh: with no ticker, only Refresh triggers fetches, so
+// a delivery proves the refresh ran — and a refresh of identical content
+// delivers nothing (hash gate).
 func TestWatcherRefresh(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "list.json")
 	os.WriteFile(path, []byte(oneSetJSON), 0o644)
@@ -97,13 +95,12 @@ func TestWatcherRefresh(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	initial, _, err := src.Fetch(ctx)
-	if err != nil {
+	if _, _, err := src.Fetch(ctx); err != nil {
 		t.Fatal(err)
 	}
-	w := source.NewWatcher(src, 0, initial, nil)
+	w := source.NewWatcher(src, 0, nil)
 	swaps := make(chan source.Swap, 16)
-	go w.Run(ctx, func(sw source.Swap) { swaps <- sw })
+	go w.Run(ctx, func(sw source.Swap) error { swaps <- sw; return nil })
 
 	w.Refresh() // identical content: no delivery
 	select {
@@ -120,8 +117,8 @@ func TestWatcherRefresh(t *testing.T) {
 	w.Refresh()
 	select {
 	case sw := <-swaps:
-		if sw.List.NumSets() != 2 || !sw.Forced {
-			t.Errorf("swap = %d sets, forced=%v, want 2 sets forced", sw.List.NumSets(), sw.Forced)
+		if sw.List.NumSets() != 2 {
+			t.Errorf("refresh delivered %d sets, want 2", sw.List.NumSets())
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("refresh never delivered the change")
@@ -137,19 +134,18 @@ func TestWatcherLogsFetchFailures(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	initial, _, err := src.Fetch(ctx)
-	if err != nil {
+	if _, _, err := src.Fetch(ctx); err != nil {
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
 	var lines []string
-	w := source.NewWatcher(src, 0, initial, func(format string, args ...any) {
+	w := source.NewWatcher(src, 0, func(format string, args ...any) {
 		mu.Lock()
 		lines = append(lines, fmt.Sprintf(format, args...))
 		mu.Unlock()
 	})
 	swaps := make(chan source.Swap, 16)
-	go w.Run(ctx, func(sw source.Swap) { swaps <- sw })
+	go w.Run(ctx, func(sw source.Swap) error { swaps <- sw; return nil })
 
 	os.WriteFile(path, []byte("not json"), 0o644)
 	w.Refresh()
@@ -199,12 +195,12 @@ func TestWatcherLogsClientTimeouts(t *testing.T) {
 	defer cancel()
 	var mu sync.Mutex
 	var lines []string
-	w := source.NewWatcher(src, 0, nil, func(format string, args ...any) {
+	w := source.NewWatcher(src, 0, func(format string, args ...any) {
 		mu.Lock()
 		lines = append(lines, fmt.Sprintf(format, args...))
 		mu.Unlock()
 	})
-	go w.Run(ctx, func(source.Swap) {})
+	go w.Run(ctx, func(source.Swap) error { return nil })
 	w.Refresh()
 
 	deadline := time.Now().Add(10 * time.Second)
@@ -228,8 +224,9 @@ func TestWatcherLogsClientTimeouts(t *testing.T) {
 }
 
 // TestWatcherSwapsUnderConcurrentQueries is the race test: a Watcher
-// hot-swaps a serve.Server's snapshot (through the same SwapDeliver hook
-// rws-serve wires) while query traffic hammers the HTTP endpoints. Run
+// hot-swaps a serve.Server's snapshot (through serve.Server.Watch, the
+// entry point rws-serve calls) while query traffic hammers the HTTP
+// endpoints. Run
 // with -race; every response must be coherent with one snapshot or the
 // other, and the final state must be the last published list.
 func TestWatcherSwapsUnderConcurrentQueries(t *testing.T) {
@@ -241,7 +238,7 @@ func TestWatcherSwapsUnderConcurrentQueries(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	initial, _, err := src.Fetch(ctx)
+	initial, meta, err := src.Fetch(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,12 +246,8 @@ func TestWatcherSwapsUnderConcurrentQueries(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	w := source.NewWatcher(src, 0, initial, nil)
-	watcherDone := make(chan struct{})
-	go func() {
-		defer close(watcherDone)
-		w.Run(ctx, srv.SwapDeliver(io.Discard))
-	}()
+	w := source.NewWatcher(src, 0, nil)
+	watcherDone := srv.Watch(ctx, w, meta, io.Discard)
 
 	// Flip the published list as fast as the watcher will take it.
 	const flips = 40
@@ -357,11 +350,11 @@ func TestWatcherRunExitsOnCancelMidFetch(t *testing.T) {
 	defer cancel()
 
 	base := runtime.NumGoroutine()
-	w := source.NewWatcher(src, 0, nil, func(string, ...any) {})
+	w := source.NewWatcher(src, 0, func(string, ...any) {})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		w.Run(ctx, func(source.Swap) {})
+		w.Run(ctx, func(source.Swap) error { return nil })
 	}()
 	w.Refresh()
 
@@ -392,10 +385,11 @@ func TestWatcherRunExitsOnCancelMidFetch(t *testing.T) {
 	}
 }
 
-// TestWatcherOnPoll: the OnPoll hook observes every completed poll in
-// order — nil for a delivered swap, ErrNotModified for an unchanged
-// source, the fetch error for a failure — which is what a follower's
-// replication metrics hang off.
+// TestWatcherOnPoll: the OnPoll hook observes every completed poll's one
+// outcome in order — nil for an installed swap, the delivery callback's
+// error for a swap the consumer could not install, ErrNotModified for an
+// unchanged source (also after a rejected swap), the fetch error for a
+// failure — which is what a follower's replication metrics hang off.
 func TestWatcherOnPoll(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "list.json")
 	if err := os.WriteFile(path, []byte(oneSetJSON), 0o644); err != nil {
@@ -405,9 +399,11 @@ func TestWatcherOnPoll(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
+	errRejected := errors.New("rejected")
 	var mu sync.Mutex
-	var swaps, notModified, failures int
-	w := source.NewWatcher(src, 2*time.Millisecond, nil, nil)
+	var swaps, notModified, rejected, failures int
+	var afterRejected []error // outcomes since the first rejection
+	w := source.NewWatcher(src, 2*time.Millisecond, nil)
 	w.OnPoll = func(err error) {
 		mu.Lock()
 		defer mu.Unlock()
@@ -416,14 +412,26 @@ func TestWatcherOnPoll(t *testing.T) {
 			swaps++
 		case errors.Is(err, source.ErrNotModified):
 			notModified++
+		case errors.Is(err, errRejected):
+			rejected++
 		default:
 			failures++
+		}
+		if rejected > 0 {
+			afterRejected = append(afterRejected, err)
 		}
 	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		w.Run(ctx, func(source.Swap) {})
+		// The consumer installs the one-set list and rejects the two-set
+		// one, as a budgeted serve node rejects a list it cannot build.
+		w.Run(ctx, func(sw source.Swap) error {
+			if sw.List.NumSets() == 2 {
+				return errRejected
+			}
+			return nil
+		})
 	}()
 
 	counts := func() (int, int, int) {
@@ -443,10 +451,35 @@ func TestWatcherOnPoll(t *testing.T) {
 		t.Fatal("timed out waiting for " + what)
 	}
 
-	// First poll delivers (initial was nil), then the unchanged file turns
+	// First poll delivers (the source was not primed), then the unchanged file turns
 	// every tick into a not-modified.
 	wait(func() bool { s, nm, _ := counts(); return s >= 1 && nm >= 3 },
 		"a delivered swap followed by not-modified polls")
+
+	// A change the consumer rejects is that poll's outcome; the source's
+	// gates remember the revision, so later polls are not-modified again.
+	if err := os.WriteFile(path, []byte(twoSetJSON), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	future := time.Now().Add(2 * time.Second)
+	if err := os.Chtimes(path, future, future); err != nil {
+		t.Fatal(err)
+	}
+	wait(func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(afterRejected) >= 3
+	}, "a rejected swap followed by more polls")
+	mu.Lock()
+	if !errors.Is(afterRejected[0], errRejected) || rejected != 1 {
+		t.Errorf("rejected swap: first outcome %v, %d rejections, want errRejected once", afterRejected[0], rejected)
+	}
+	for _, err := range afterRejected[1:] {
+		if !errors.Is(err, source.ErrNotModified) {
+			t.Errorf("poll after the rejected swap = %v, want ErrNotModified", err)
+		}
+	}
+	mu.Unlock()
 
 	// A vanished file turns polls into failures.
 	if err := os.Remove(path); err != nil {

@@ -254,18 +254,18 @@ func NewIndicatingRWSBrowser(list *List) (*Browser, *IndicatingPolicy) {
 type Server = serve.Server
 
 // NewServer returns an http.Handler serving RWS queries against list,
-// precomputing the query plane (host index, per-role tables, partition
-// verdict table) once up front. Server.Swap hot-swaps it under traffic.
+// precomputing the query plane (host index, member table, partition
+// verdict table) once up front. Server.Watch hot-swaps it under traffic.
 func NewServer(list *List) *Server { return serve.New(list) }
 
 // ServerSnapshot is the immutable precomputed query plane a Server
-// answers from: normalized host index, per-role membership tables, and
-// the per-policy partition-verdict table.
+// answers from: normalized host index, /v1/set member table, and the
+// per-policy partition-verdict table.
 type ServerSnapshot = serve.Snapshot
 
 // NewServerSnapshot precomputes the query plane for list without
-// installing it in a server; Server.SwapSnapshot installs a prebuilt one,
-// keeping the precompute off the serving path.
+// installing it in a server; Server.Store().AddSnapshot installs a
+// prebuilt one, keeping the precompute off the serving path.
 func NewServerSnapshot(list *List) *ServerSnapshot { return serve.NewSnapshot(list) }
 
 // SnapshotOptions configures BuildServerSnapshot: the construction shard
@@ -280,7 +280,7 @@ type SnapshotBuildInfo = serve.BuildInfo
 
 // BuildServerSnapshot is NewServerSnapshot with explicit construction
 // options. It errors only when a MemoryBudget is set and the list's
-// query tables (host index, member table, role tables) cannot fit it.
+// query tables (host index, member table) cannot fit it.
 func BuildServerSnapshot(list *List, opts SnapshotOptions) (*ServerSnapshot, error) {
 	return serve.BuildSnapshot(list, opts)
 }
@@ -331,10 +331,9 @@ func NewServerFromStore(st *ServerStore) *Server { return serve.NewFromStore(st)
 // advertises in /v1/metrics: the upstream /v1/list URL it tracks, the
 // last-synced version hash, swap-propagation lag, and the
 // consecutive-304 idle streak. Server.Replication returns it (nil on
-// non-followers); wire Server.RecordReplicationPoll to
-// SourceWatcher.OnPoll and call Server.RecordReplicationSwap on each
-// delivered swap to keep it current. See the README's "Replication &
-// edge tiering" section for the full follower topology.
+// non-followers); Server.Watch, given the boot fetch's SourceMeta,
+// keeps it current. See the README's "Replication & edge tiering"
+// section for the full follower topology.
 type ServerReplicationMetrics = serve.ReplicationMetrics
 
 // ListSource produces list revisions with change detection: Fetch returns
@@ -348,7 +347,7 @@ type ListSource = source.Source
 type SourceMeta = source.Meta
 
 // SourceSwap is one list change delivered by a SourceWatcher: the new
-// list, its provenance, and a diff against the previous revision.
+// list and its provenance.
 type SourceSwap = source.Swap
 
 // SourceWatcher polls a ListSource on a ticker and delivers SourceSwaps;
@@ -367,10 +366,10 @@ var ErrListNotModified = source.ErrNotModified
 func OpenSource(spec string) ListSource { return source.Open(spec) }
 
 // NewSourceWatcher returns a SourceWatcher polling src every interval
-// (0: only Refresh triggers fetches), diffing the first swap against
-// initial. logf, if non-nil, receives fetch-failure log lines.
-func NewSourceWatcher(src ListSource, interval time.Duration, initial *List, logf func(format string, args ...any)) *SourceWatcher {
-	return source.NewWatcher(src, interval, initial, logf)
+// (0: only Refresh triggers fetches); pass it to Server.Watch. logf, if
+// non-nil, receives fetch-failure log lines.
+func NewSourceWatcher(src ListSource, interval time.Duration, logf func(format string, args ...any)) *SourceWatcher {
+	return source.NewWatcher(src, interval, logf)
 }
 
 // Artifact is one regenerated table or figure.

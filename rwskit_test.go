@@ -31,7 +31,7 @@ func TestSourceFacade(t *testing.T) {
 	if _, _, err := src.Fetch(ctx); !errors.Is(err, ErrListNotModified) {
 		t.Errorf("unchanged fetch: err = %v, want ErrListNotModified", err)
 	}
-	if w := NewSourceWatcher(src, 0, list, nil); w == nil {
+	if w := NewSourceWatcher(src, 0, nil); w == nil {
 		t.Error("NewSourceWatcher returned nil")
 	}
 }
@@ -220,9 +220,9 @@ func TestServerSnapshotFacade(t *testing.T) {
 			snap.NumSets(), snap.Hash(), list.NumSets(), list.Hash())
 	}
 	srv := NewServer(list)
-	srv.SwapSnapshot(snap)
+	srv.Store().AddSnapshot(snap, Version{Source: "swap"})
 	if srv.Snapshot() != snap {
-		t.Error("SwapSnapshot should install the prebuilt snapshot")
+		t.Error("Store().AddSnapshot should install the prebuilt snapshot")
 	}
 	resp := snap.SameSet("https://bild.de:443", "autobild.de")
 	if !resp.SameSet || resp.Primary != "bild.de" {
@@ -244,9 +244,9 @@ func TestServerStoreFacade(t *testing.T) {
 	}
 	st := NewServerStore(4)
 	jan := time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC)
-	st.Add(oldList, Version{Source: "timeline:2023-01", ObservedAt: jan, AsOf: jan})
+	st.AddSnapshot(NewServerSnapshot(oldList), Version{Source: "timeline:2023-01", ObservedAt: jan, AsOf: jan})
 	mar := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
-	st.Add(newList, Version{Source: "timeline:2024-03", ObservedAt: mar, AsOf: mar})
+	st.AddSnapshot(NewServerSnapshot(newList), Version{Source: "timeline:2024-03", ObservedAt: mar, AsOf: mar})
 
 	if st.Len() != 2 || st.Cap() != 4 {
 		t.Errorf("store = %d/%d", st.Len(), st.Cap())
