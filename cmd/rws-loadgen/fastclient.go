@@ -3,24 +3,24 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
-	"net/url"
 	"time"
 )
 
-// fastClient is a minimal HTTP/1.1 keep-alive GET client for -fast
-// runs. net/http costs tens of microseconds per request in goroutine
+// fastClient is the load client: a minimal HTTP/1.1 keep-alive GET
+// client. net/http costs tens of microseconds per request in goroutine
 // handoffs, header maps, and response plumbing; on a small box that
 // client-side overhead, not the server, caps the measured throughput.
 // This client holds one persistent connection, writes the request line
 // from a reused buffer, and discards the body in place — understanding
-// both Content-Length and chunked framing, since the serve plane now
-// lets net/http pick chunked encoding for bodies it doesn't buffer.
+// both Content-Length and chunked framing, since the serve plane lets
+// net/http pick chunked encoding for bodies it doesn't buffer.
 //
-// Each worker owns one fastClient; the type is not safe for concurrent
-// use.
+// Each worker owns one fastClient per target; the type is not safe for
+// concurrent use.
 type fastClient struct {
 	addr    string // dial target, host:port
 	host    string // Host header value
@@ -28,28 +28,6 @@ type fastClient struct {
 	conn    net.Conn
 	br      *bufio.Reader
 	req     []byte
-}
-
-// fastTarget validates -fast's target URL once up front and returns the
-// dial address and Host header every worker's client will use.
-func fastTarget(target string) (addr, host string, err error) {
-	u, err := url.Parse(target)
-	if err != nil {
-		return "", "", err
-	}
-	if u.Scheme != "http" {
-		return "", "", fmt.Errorf("-fast speaks plain HTTP/1.1; target scheme %q needs net/http (drop -fast)", u.Scheme)
-	}
-	host = u.Host
-	addr = host
-	if u.Port() == "" {
-		addr += ":80"
-	}
-	return addr, host, nil
-}
-
-func newFastClient(addr, host string, timeout time.Duration) *fastClient {
-	return &fastClient{addr: addr, host: host, timeout: timeout}
 }
 
 func (c *fastClient) close() {
@@ -64,11 +42,13 @@ func (c *fastClient) close() {
 // get issues one GET and returns the response status, retrying once on
 // a fresh connection: a keep-alive peer may close an idle connection
 // between requests, which surfaces as an error on the stale socket, not
-// a server failure.
+// a server failure. A timeout is never retried: the server may have the
+// request, and resending it would count it twice and hide the stall.
 func (c *fastClient) get(path string) (int, error) {
 	reused := c.conn != nil
 	status, err := c.roundTrip(path)
-	if err != nil && reused {
+	var ne net.Error
+	if err != nil && reused && !(errors.As(err, &ne) && ne.Timeout()) {
 		c.close()
 		status, err = c.roundTrip(path)
 	}
@@ -120,7 +100,7 @@ func (c *fastClient) readResponse() (int, error) {
 		return 0, err
 	}
 	// "HTTP/1.1 200 OK"
-	if len(line) < 12 || !bytes.HasPrefix(line, []byte("HTTP/1.")) {
+	if len(line) < 12 || !bytes.HasPrefix(line, []byte("HTTP/1.")) || line[8] != ' ' {
 		return 0, fmt.Errorf("bad status line %q", line)
 	}
 	status := 0
@@ -130,7 +110,7 @@ func (c *fastClient) readResponse() (int, error) {
 		}
 		status = status*10 + int(d-'0')
 	}
-	contentLength := -1
+	contentLength := int64(-1)
 	chunked := false
 	closeAfter := false
 	for {
@@ -148,14 +128,9 @@ func (c *fastClient) readResponse() (int, error) {
 		v = bytes.TrimSpace(v)
 		switch {
 		case bytes.EqualFold(k, []byte("Content-Length")):
-			n := 0
-			for _, d := range v {
-				if d < '0' || d > '9' {
-					return 0, fmt.Errorf("bad Content-Length %q", v)
-				}
-				n = n*10 + int(d-'0')
+			if contentLength, err = parseDec(v); err != nil {
+				return 0, err
 			}
-			contentLength = n
 		case bytes.EqualFold(k, []byte("Transfer-Encoding")):
 			chunked = bytes.EqualFold(v, []byte("chunked"))
 		case bytes.EqualFold(k, []byte("Connection")):
@@ -170,7 +145,7 @@ func (c *fastClient) readResponse() (int, error) {
 			return 0, err
 		}
 	case contentLength >= 0:
-		if _, err := c.br.Discard(contentLength); err != nil {
+		if _, err := c.br.Discard(int(contentLength)); err != nil {
 			return 0, err
 		}
 	default:
@@ -233,6 +208,24 @@ func parseHex(b []byte) (int64, error) {
 		default:
 			return 0, fmt.Errorf("bad chunk size %q", b)
 		}
+	}
+	return n, nil
+}
+
+// parseDec parses a Content-Length value. Like parseHex it bounds the
+// digit count (18 decimal digits always fit an int64) and rejects an
+// empty value, which would otherwise read as 0 and leave the body in
+// the stream as the next response.
+func parseDec(b []byte) (int64, error) {
+	if len(b) == 0 || len(b) > 18 {
+		return 0, fmt.Errorf("bad Content-Length %q", b)
+	}
+	var n int64
+	for _, d := range b {
+		if d < '0' || d > '9' {
+			return 0, fmt.Errorf("bad Content-Length %q", b)
+		}
+		n = n*10 + int64(d-'0')
 	}
 	return n, nil
 }

@@ -12,8 +12,8 @@ import (
 // (~1.6%) of the value. A fixed 4096-bucket array covers the whole
 // int64 nanosecond range, so recording is a bounds check and an
 // increment — no allocation, no comparison sort over millions of
-// samples, and open-loop runs can record every request even when the
-// schedule drives tens of thousands per second.
+// samples — and every run records every request even at tens of
+// thousands per second. Every reported quantile comes from here.
 type latHist struct {
 	counts [histBuckets]uint64
 	total  uint64

@@ -1,40 +1,34 @@
-// Command rws-loadgen is a keep-alive load generator for rws-serve
-// with two modes:
+// Command rws-loadgen is a keep-alive load generator for rws-serve.
+// Each worker drives one built-in HTTP/1.1 client per target over a
+// persistent connection, so the measured numbers reflect the server's
+// query plane rather than client plumbing or TCP dial latency. One
+// worker loop runs two modes:
 //
-//   - Closed loop (default): N workers issue queries back-to-back over
-//     pooled connections, so the measured numbers reflect the server's
-//     query plane rather than TCP dial latency (PR 2's loopback
-//     benchmarks were dial-dominated; this is the ROADMAP's fix).
-//   - Open loop (-rate or -sweep): requests launch on a rate-driven
-//     arrival schedule (Poisson by default, -arrival fixed for even
-//     spacing) that does not wait for completions, and latency is
+//   - Closed loop (default): each worker issues queries back-to-back,
+//     and a request's latency counts from its own send.
+//   - Open loop (-rate or -sweep): requests launch on a Poisson arrival
+//     schedule that does not wait for completions, and latency is
 //     measured from each request's intended send time — the wrk2-style
 //     correction for coordinated omission. -sweep steps the offered
 //     rate through a list of stages and reports the latency-under-load
-//     curve plus the knee (the highest sustained rate).
+//     curve plus the knee: the highest rate sustained within the p99
+//     SLO (kneeP99).
 //
-// -fast swaps net/http for a minimal built-in HTTP/1.1 client (plain
-// http targets only), removing ~30µs/request of client-side overhead so
-// a single small load box can saturate the zero-alloc serving plane.
-//
-// -targets runs the same mix against several endpoints at once — a
-// leader plus its /v1/list followers — spreading requests round-robin
-// across the URLs (weighted by an optional =N suffix per URL) and
-// reporting per-target req/s and latency alongside the aggregate. The
-// spread is deterministic: each worker walks the weight-expanded target
-// ring from its own phase, so a seed pins the full (scenario, target)
-// sequence. Composes with -fast (one persistent connection per worker
-// per target) and with -rate/-sweep.
+// -target takes one or more comma-separated url[=weight] entries — a
+// leader plus its /v1/list followers, say — and spreads requests
+// round-robin across them, weighted by the optional =N suffix, with a
+// per-target req/s and latency block next to the aggregate. The spread
+// is deterministic: each worker walks the weight-expanded target ring
+// from its own phase, so a seed pins the full (scenario, target)
+// sequence.
 //
 // Usage:
 //
-//	rws-loadgen -target http://host:port [-workers 8] [-duration 10s]
+//	rws-loadgen -target http://host:port[=w][,http://host2:port[=w]...]
+//	            [-workers 8] [-duration 10s]
 //	            [-mix sameset=4,set=3,partition=2,batch=1] [-seed 1]
 //	            [-list file-or-url | -amplify N [-amplify-seed S]]
-//	            [-rate R | -sweep r1,r2,...] [-arrival poisson|fixed]
-//	            [-fast] [-batch 8] [-json]
-//	rws-loadgen -targets http://leader:8080=2,http://f1:8081,http://f2:8082
-//	            [same flags]
+//	            [-rate R | -sweep r1,r2,...] [-batch 8] [-timeout 5s] [-json]
 //
 // Scenarios:
 //
@@ -57,7 +51,8 @@
 // same flags issue the same request sequence. Half of each pair scenario
 // picks two members of one set (hitting the related/precomputed path),
 // half picks two hosts at random. The report gives req/s and
-// p50/p95/p99/max latency over every completed request.
+// p50/p90/p95/p99/p99.9/max latency over every completed request, read
+// from a log-linear histogram (latHist).
 package main
 
 import (
@@ -122,13 +117,13 @@ var scenarioNames = [numScenarios]string{
 type targetSpec struct {
 	url    string
 	weight int
-	// addr and host are the -fast dial address and Host header,
-	// resolved once in newGenerator.
+	// addr and host are the dial address and Host header, resolved
+	// once in parseTargets.
 	addr, host string
 }
 
 type config struct {
-	target      string // display form: the URL, or the joined -targets list
+	target      string // display form: the joined target URLs
 	targets     []targetSpec
 	workers     int
 	duration    time.Duration
@@ -142,16 +137,13 @@ type config struct {
 	timeout     time.Duration
 	jsonOut     bool
 	rate        float64
-	arrival     string
 	sweepRates  []float64
-	fast        bool
 }
 
 func parseFlags(args []string) (config, error) {
 	fs := flag.NewFlagSet("rws-loadgen", flag.ContinueOnError)
-	target := fs.String("target", "", "base URL of the rws-serve instance")
-	targets := fs.String("targets", "", "comma-separated base URLs url[=weight],... for a weighted round-robin multi-endpoint run (excludes -target)")
-	workers := fs.Int("workers", 8, "concurrent closed-loop workers")
+	target := fs.String("target", "", "comma-separated base URLs url[=weight],... of rws-serve instances (several spread requests by weighted round-robin)")
+	workers := fs.Int("workers", 8, "concurrent workers")
 	duration := fs.Duration("duration", 10*time.Second, "how long to generate load")
 	mix := fs.String("mix", "sameset=4,set=3,partition=2,batch=1", "scenario weights")
 	seed := fs.Int64("seed", 1, "PRNG seed for deterministic host selection")
@@ -161,25 +153,23 @@ func parseFlags(args []string) (config, error) {
 	batch := fs.Int("batch", 8, "pairs per batch request")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-request timeout")
 	jsonOut := fs.Bool("json", false, "emit the report as JSON")
-	rate := fs.Float64("rate", 0, "open-loop offered rate in req/s across all workers (0 = closed loop)")
-	arrival := fs.String("arrival", "poisson", "open-loop arrival process: poisson or fixed")
+	rate := fs.Float64("rate", 0, "open-loop offered rate in req/s across all workers, Poisson arrivals (0 = closed loop)")
 	sweep := fs.String("sweep", "", "comma-separated offered rates to sweep (req/s), one -duration stage each; implies open loop")
-	fast := fs.Bool("fast", false, "use the minimal built-in HTTP/1.1 client (plain http targets only)")
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
 	}
 	if fs.NArg() != 0 {
-		return config{}, errors.New("usage: rws-loadgen -target URL [flags]")
+		return config{}, errors.New("usage: rws-loadgen -target URL[,URL...] [flags]")
 	}
 	cfg := config{
 		workers:  *workers,
 		duration: *duration, mix: *mix, seed: *seed, list: *list,
 		amplify: *amp, amplifySeed: *ampSeed,
 		batch: *batch, timeout: *timeout, jsonOut: *jsonOut,
-		rate: *rate, arrival: *arrival, fast: *fast,
+		rate: *rate,
 	}
 	var err error
-	if cfg.targets, err = parseTargets(*target, *targets); err != nil {
+	if cfg.targets, err = parseTargets(*target); err != nil {
 		return config{}, err
 	}
 	urls := make([]string, len(cfg.targets))
@@ -202,9 +192,6 @@ func parseFlags(args []string) (config, error) {
 	if cfg.amplify > 0 && cfg.list != "" {
 		return config{}, errors.New("-amplify excludes -list")
 	}
-	if cfg.arrival != "poisson" && cfg.arrival != "fixed" {
-		return config{}, errors.New("-arrival must be poisson or fixed")
-	}
 	if cfg.rate < 0 {
 		return config{}, errors.New("-rate must be >= 0")
 	}
@@ -212,7 +199,6 @@ func parseFlags(args []string) (config, error) {
 		if cfg.rate > 0 {
 			return config{}, errors.New("-sweep excludes -rate (the sweep sets its own rates)")
 		}
-		var err error
 		if cfg.sweepRates, err = parseSweep(*sweep); err != nil {
 			return config{}, err
 		}
@@ -223,25 +209,13 @@ func parseFlags(args []string) (config, error) {
 	return cfg, nil
 }
 
-// parseTargets resolves -target/-targets (exactly one must be given)
-// into the endpoint list. Each -targets entry is url[=weight]; weights
-// default to 1 and set the entry's share of the round-robin ring.
-func parseTargets(single, multi string) ([]targetSpec, error) {
-	if single != "" && multi != "" {
-		return nil, errors.New("-target and -targets are mutually exclusive")
-	}
-	if single == "" && multi == "" {
-		return nil, errors.New("-target or -targets is required")
-	}
-	if single != "" {
-		u := strings.TrimSuffix(single, "/")
-		if _, err := url.ParseRequestURI(u); err != nil {
-			return nil, fmt.Errorf("-target: %v", err)
-		}
-		return []targetSpec{{url: u, weight: 1}}, nil
-	}
+// parseTargets resolves -target into the endpoint list. Each entry is
+// url[=weight]; weights default to 1 and set the entry's share of the
+// round-robin ring. The load client speaks plain HTTP/1.1 to a base
+// URL, so an entry must be http://host[:port] with no path.
+func parseTargets(s string) ([]targetSpec, error) {
 	var specs []targetSpec
-	for _, part := range strings.Split(multi, ",") {
+	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
@@ -250,18 +224,26 @@ func parseTargets(single, multi string) ([]targetSpec, error) {
 		if u, w, ok := strings.Cut(part, "="); ok {
 			n, err := strconv.Atoi(strings.TrimSpace(w))
 			if err != nil || n < 1 {
-				return nil, fmt.Errorf("-targets: bad weight in %q (want url=positive-int)", part)
+				return nil, fmt.Errorf("-target: bad weight in %q (want url=positive-int)", part)
 			}
 			spec.url, spec.weight = u, n
 		}
 		spec.url = strings.TrimSuffix(strings.TrimSpace(spec.url), "/")
-		if _, err := url.ParseRequestURI(spec.url); err != nil {
-			return nil, fmt.Errorf("target %q: %v", spec.url, err)
+		u, err := url.Parse(spec.url)
+		if err != nil {
+			return nil, fmt.Errorf("-target %q: %v", spec.url, err)
+		}
+		if u.Scheme != "http" || u.Host == "" || u.Path != "" || u.RawQuery != "" {
+			return nil, fmt.Errorf("-target %q: want http://host[:port] (the load client speaks plain HTTP/1.1; rws-serve has no TLS listener)", spec.url)
+		}
+		spec.host, spec.addr = u.Host, u.Host
+		if u.Port() == "" {
+			spec.addr += ":80"
 		}
 		specs = append(specs, spec)
 	}
 	if len(specs) == 0 {
-		return nil, errors.New("-targets: no URLs given")
+		return nil, errors.New("-target is required")
 	}
 	return specs, nil
 }
@@ -352,7 +334,8 @@ type TargetStats struct {
 
 // Report is the load-generation result. Mode "closed" measures
 // per-request service latency; mode "open" measures latency from each
-// request's intended send time at the offered rate.
+// request's intended send time at the offered rate, with Poisson
+// arrivals.
 type Report struct {
 	Target        string          `json:"target"`
 	Workers       int             `json:"workers"`
@@ -373,7 +356,7 @@ type Report struct {
 	MaxMicros     int64           `json:"max_micros"`
 	Scenarios     []ScenarioStats `json:"scenarios"`
 	// Targets breaks the run down per endpoint; present only on
-	// multi-target (-targets) runs.
+	// multi-target runs.
 	Targets []TargetStats `json:"targets,omitempty"`
 }
 
@@ -412,12 +395,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		swp.write(out)
 		return nil
 	}
-	var rep Report
-	if cfg.rate > 0 {
-		rep, err = gen.runOpen(ctx, cfg.rate)
-	} else {
-		rep, err = gen.Run(ctx)
-	}
+	rep, err := gen.runStage(ctx, cfg.rate)
 	if err != nil {
 		return err
 	}
@@ -473,7 +451,7 @@ func loadHosts(ctx context.Context, cfg config) (*core.List, error) {
 	return list, err
 }
 
-// generator runs the closed-loop workers.
+// generator holds what the workers draw requests from.
 type generator struct {
 	cfg    config
 	hosts  []string   // every member host, sorted (deterministic)
@@ -485,7 +463,6 @@ type generator struct {
 	// sequence is deterministic per seed and the long-run share of each
 	// endpoint matches its weight.
 	targetPick []int
-	client     *http.Client
 
 	// hashes and asOfs are the target's retained versions, fetched once
 	// at startup when the mix includes a versioned scenario. Server
@@ -513,7 +490,7 @@ func (g *generator) primeVersions(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	resp, err := g.client.Do(req)
+	resp, err := (&http.Client{Timeout: g.cfg.timeout}).Do(req)
 	if err != nil {
 		return fmt.Errorf("fetching %s/v1/versions for the asof/diff scenarios: %w", base, err)
 	}
@@ -570,77 +547,46 @@ func newGenerator(cfg config, list *core.List) (*generator, error) {
 			g.targetPick = append(g.targetPick, ti)
 		}
 	}
-	// Keep-alive pooling sized to the worker count, so a closed loop
-	// reuses one warm connection per worker instead of redialing.
-	g.client = &http.Client{
-		Timeout: cfg.timeout,
-		Transport: &http.Transport{
-			MaxIdleConns:        cfg.workers * 2,
-			MaxIdleConnsPerHost: cfg.workers * 2,
-			IdleConnTimeout:     90 * time.Second,
-			ForceAttemptHTTP2:   true,
-		},
-	}
-	if cfg.fast {
-		for ti := range g.cfg.targets {
-			t := &g.cfg.targets[ti]
-			var err error
-			if t.addr, t.host, err = fastTarget(t.url); err != nil {
-				return nil, err
-			}
-		}
-	}
 	return g, nil
 }
 
-// newWorkerClients returns worker-private fast clients, one per target,
-// or nil when the run uses net/http.
-func (g *generator) newWorkerClients() []*fastClient {
-	if !g.cfg.fast {
-		return nil
-	}
-	fcs := make([]*fastClient, len(g.cfg.targets))
-	for ti, t := range g.cfg.targets {
-		fcs[ti] = newFastClient(t.addr, t.host, g.cfg.timeout)
-	}
-	return fcs
+// tally is one worker's count of its requests.
+type tally struct {
+	requests [numScenarios]uint64
+	errors   [numScenarios]uint64
+	tgt      []targetTally // indexed like cfg.targets
 }
 
-func closeClients(fcs []*fastClient) {
-	for _, fc := range fcs {
-		fc.close()
-	}
-}
-
-// targetTally is one worker's per-target tally. The latency histogram
-// makes per-endpoint quantiles free to merge across workers.
+// targetTally is one worker's count for one endpoint. Every request
+// lands in exactly one, and the latency histogram merges for free, so
+// these alone yield both the per-target and the run-wide quantiles.
 type targetTally struct {
 	requests uint64
 	errors   uint64
 	hist     latHist
 }
 
-// workerResult is one worker's tally.
-type workerResult struct {
-	latencies []time.Duration
-	requests  [numScenarios]uint64
-	errors    [numScenarios]uint64
-	tgt       []targetTally // indexed like cfg.targets
-}
-
-// Run generates load for cfg.duration and aggregates the report.
-func (g *generator) Run(ctx context.Context) (Report, error) {
+// runStage generates load for cfg.duration and aggregates the report:
+// a closed loop when rate is 0, otherwise an open loop offering rate
+// req/s across all workers.
+func (g *generator) runStage(ctx context.Context, rate float64) (Report, error) {
 	ctx, cancel := context.WithTimeout(ctx, g.cfg.duration)
 	defer cancel()
-	results := make([]workerResult, g.cfg.workers)
+	// Each worker owns every Nth arrival of the schedule, wrk2-style, so
+	// its mean gap is workers/rate.
+	var interval time.Duration
+	if rate > 0 {
+		interval = max(time.Duration(float64(g.cfg.workers)/rate*float64(time.Second)), 1)
+	}
+	tallies := make([]tally, g.cfg.workers)
 	start := time.Now()
 	var wg sync.WaitGroup
-	for w := 0; w < g.cfg.workers; w++ {
+	for w := range tallies {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			results[w] = g.worker(ctx, w)
-		}(w)
+			g.worker(ctx, w, interval, start, &tallies[w])
+		}()
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
@@ -653,18 +599,31 @@ func (g *generator) Run(ctx context.Context) (Report, error) {
 		Mode:          "closed",
 		ElapsedMillis: elapsed.Milliseconds(),
 	}
-	var all []time.Duration
+	if rate > 0 {
+		rep.Mode, rep.Arrival, rep.OfferedRate = "open", "poisson", rate
+	}
 	var scen [numScenarios]ScenarioStats
 	for id := range scen {
 		scen[id].Scenario = scenarioNames[id]
 	}
-	for _, res := range results {
-		all = append(all, res.latencies...)
+	targets := make([]TargetStats, len(g.cfg.targets))
+	hists := make([]latHist, len(g.cfg.targets))
+	for ti, t := range g.cfg.targets {
+		targets[ti].Target = t.url
+		targets[ti].Weight = t.weight
+	}
+	for i := range tallies {
+		res := &tallies[i]
 		for id := range scen {
 			scen[id].Requests += res.requests[id]
 			scen[id].Errors += res.errors[id]
 			rep.Requests += res.requests[id]
 			rep.Errors += res.errors[id]
+		}
+		for ti := range res.tgt {
+			targets[ti].Requests += res.tgt[ti].requests
+			targets[ti].Errors += res.tgt[ti].errors
+			hists[ti].merge(&res.tgt[ti].hist)
 		}
 	}
 	for id := range scen {
@@ -672,96 +631,95 @@ func (g *generator) Run(ctx context.Context) (Report, error) {
 			rep.Scenarios = append(rep.Scenarios, scen[id])
 		}
 	}
-	perTarget := make([][]targetTally, len(results))
-	for i := range results {
-		perTarget[i] = results[i].tgt
+	secs := elapsed.Seconds()
+	var hist latHist
+	for ti := range targets {
+		hist.merge(&hists[ti])
+		if secs > 0 {
+			targets[ti].ReqPerSec = float64(targets[ti].Requests) / secs
+		}
+		targets[ti].P50Micros = hists[ti].quantile(0.50).Microseconds()
+		targets[ti].P99Micros = hists[ti].quantile(0.99).Microseconds()
 	}
-	rep.Targets = g.targetStats(perTarget, elapsed)
+	if len(targets) > 1 {
+		rep.Targets = targets
+	}
 	if rep.Requests == 0 {
 		return rep, errors.New("no requests completed (is the target up?)")
 	}
-	if secs := elapsed.Seconds(); secs > 0 {
+	if secs > 0 {
 		rep.ReqPerSec = float64(rep.Requests) / secs
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	rep.P50Micros = percentile(all, 0.50).Microseconds()
-	rep.P90Micros = percentile(all, 0.90).Microseconds()
-	rep.P95Micros = percentile(all, 0.95).Microseconds()
-	rep.P99Micros = percentile(all, 0.99).Microseconds()
-	rep.P999Micros = percentile(all, 0.999).Microseconds()
-	rep.MaxMicros = all[len(all)-1].Microseconds()
+	rep.P50Micros = hist.quantile(0.50).Microseconds()
+	rep.P90Micros = hist.quantile(0.90).Microseconds()
+	rep.P95Micros = hist.quantile(0.95).Microseconds()
+	rep.P99Micros = hist.quantile(0.99).Microseconds()
+	rep.P999Micros = hist.quantile(0.999).Microseconds()
+	rep.MaxMicros = hist.max.Microseconds()
 	return rep, nil
 }
 
-// targetStats folds per-worker target tallies into the report's
-// per-endpoint block; single-target runs omit it.
-func (g *generator) targetStats(perWorker [][]targetTally, elapsed time.Duration) []TargetStats {
-	if len(g.cfg.targets) < 2 {
-		return nil
-	}
-	stats := make([]TargetStats, len(g.cfg.targets))
-	hists := make([]latHist, len(g.cfg.targets))
-	for ti, t := range g.cfg.targets {
-		stats[ti].Target = t.url
-		stats[ti].Weight = t.weight
-	}
-	for _, tgt := range perWorker {
-		for ti := range tgt {
-			stats[ti].Requests += tgt[ti].requests
-			stats[ti].Errors += tgt[ti].errors
-			hists[ti].merge(&tgt[ti].hist)
-		}
-	}
-	secs := elapsed.Seconds()
-	for ti := range stats {
-		if secs > 0 {
-			stats[ti].ReqPerSec = float64(stats[ti].Requests) / secs
-		}
-		stats[ti].P50Micros = hists[ti].quantile(0.50).Microseconds()
-		stats[ti].P99Micros = hists[ti].quantile(0.99).Microseconds()
-	}
-	return stats
-}
-
-// percentile reads the p-quantile from an ascending-sorted slice.
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p * float64(len(sorted)-1))
-	return sorted[i]
-}
-
-// worker issues requests back-to-back until ctx expires. Each worker
-// seeds its own PRNG from (seed, worker id), so the request sequence is
-// deterministic per run regardless of scheduling; the target ring is
-// walked by a counter (not the PRNG) from the worker's own phase, so
-// adding targets never perturbs the scenario draw.
-func (g *generator) worker(ctx context.Context, id int) workerResult {
+// worker issues requests until ctx expires, on one client per target.
+// In a closed loop (interval 0) a request's intended send time is its
+// own start, so requests go back-to-back. In an open loop the intended
+// times follow the worker's share of the Poisson schedule, with mean
+// gap interval; the worker never skips a slot, so if it falls behind it
+// fires the overdue arrivals back-to-back and their latency includes
+// the time spent waiting for their turn.
+//
+// Each worker seeds its own PRNG from (seed, worker id), so the request
+// sequence is deterministic per run regardless of scheduling; the
+// target ring is walked by a counter (not the PRNG) from the worker's
+// own phase, so adding targets never perturbs the scenario draw.
+func (g *generator) worker(ctx context.Context, id int, interval time.Duration, start time.Time, res *tally) {
 	rng := newWorkerRNG(g.cfg.seed, id)
-	fcs := g.newWorkerClients()
-	defer closeClients(fcs)
-	res := workerResult{tgt: make([]targetTally, len(g.cfg.targets))}
+	clients := make([]*fastClient, len(g.cfg.targets))
+	for ti, t := range g.cfg.targets {
+		clients[ti] = &fastClient{addr: t.addr, host: t.host, timeout: g.cfg.timeout}
+	}
+	defer func() {
+		for _, c := range clients {
+			c.close()
+		}
+	}()
+	res.tgt = make([]targetTally, len(g.cfg.targets))
+	gap := func() time.Duration { return time.Duration(rng.ExpFloat64() * float64(interval)) }
+	var next time.Time
+	if interval > 0 {
+		next = start.Add(gap())
+	}
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
 	for n := 0; ctx.Err() == nil; n++ {
+		if interval > 0 {
+			if wait := time.Until(next); wait > 0 {
+				timer.Reset(wait)
+				select {
+				case <-ctx.Done():
+					return
+				case <-timer.C:
+				}
+			}
+		} else {
+			next = time.Now()
+		}
 		sc := g.pick[rng.Intn(len(g.pick))]
 		ti := g.targetPick[(id+n)%len(g.targetPick)]
-		start := time.Now()
-		ok := g.doWith(ctx, fcs, ti, sc, rng)
-		if ctx.Err() != nil && !ok {
-			break // the deadline killed this request mid-flight; don't count it
-		}
-		d := time.Since(start)
+		// The client takes no context: a request in flight when the
+		// stage ends completes (or times out) and is counted.
+		status, err := clients[ti].get(g.buildPath(sc, rng))
 		res.requests[sc]++
-		res.latencies = append(res.latencies, d)
 		t := &res.tgt[ti]
 		t.requests++
-		t.hist.record(d)
-		if !ok {
+		t.hist.record(time.Since(next))
+		if err != nil || status >= 300 {
 			res.errors[sc]++
 			t.errors++
 		}
+		if interval > 0 {
+			next = next.Add(gap())
+		}
 	}
-	return res
 }
 
 // newWorkerRNG seeds worker id's PRNG from the run seed, so the request
@@ -833,26 +791,4 @@ func (g *generator) buildPath(sc scenarioID, rng *rand.Rand) string {
 		return fmt.Sprintf("/v1/churn?from=%s&to=%s", g.hashes[i][:12], g.hashes[j][:12])
 	}
 	return "/"
-}
-
-// doWith issues one request against target ti over its fast client (or
-// net/http when fcs is nil) and reports whether it completed with a 2xx.
-func (g *generator) doWith(ctx context.Context, fcs []*fastClient, ti int, sc scenarioID, rng *rand.Rand) bool {
-	path := g.buildPath(sc, rng)
-	if fcs != nil {
-		status, err := fcs[ti].get(path)
-		return err == nil && status < 300
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, g.cfg.targets[ti].url+path, nil)
-	if err != nil {
-		return false
-	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		return false
-	}
-	// Drain so the connection returns to the keep-alive pool.
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode < 300
 }

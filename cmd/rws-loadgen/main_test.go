@@ -23,9 +23,34 @@ func TestParseFlags(t *testing.T) {
 	if cfg.target != "http://127.0.0.1:8080" || cfg.workers != 4 || cfg.duration != 2*time.Second || cfg.seed != 7 {
 		t.Errorf("parseFlags = %+v", cfg)
 	}
+	if tg := cfg.targets[0]; tg.addr != "127.0.0.1:8080" || tg.host != "127.0.0.1:8080" || tg.weight != 1 {
+		t.Errorf("target = %+v", tg)
+	}
+	// Several comma-separated entries, each with an optional weight; a
+	// port-less URL dials :80 but keeps its bare Host header.
+	cfg, err = parseFlags([]string{"-target", "http://leader:8080=2, http://f1/"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []targetSpec{
+		{url: "http://leader:8080", weight: 2, addr: "leader:8080", host: "leader:8080"},
+		{url: "http://f1", weight: 1, addr: "f1:80", host: "f1"},
+	}
+	if len(cfg.targets) != 2 || cfg.targets[0] != want[0] || cfg.targets[1] != want[1] ||
+		cfg.target != "http://leader:8080,http://f1" {
+		t.Errorf("targets = %+v (%s), want %+v", cfg.targets, cfg.target, want)
+	}
 	for _, bad := range [][]string{
 		{},                                    // missing target
+		{"-target", ","},                      // no URLs
 		{"-target", "http://x", "positional"}, // positional arg
+		{"-target", "https://x"},              // the load client speaks plain HTTP/1.1
+		{"-target", "x:8080"},
+		{"-target", "http://x/prefix"},
+		{"-target", "http://x=0"},
+		{"-target", "http://x,http://y=two"},
+		{"-targets", "http://x"}, // folded into -target
+		{"-target", "http://x", "-fast"},
 		{"-target", "http://x", "-workers", "0"},
 		{"-target", "http://x", "-duration", "0s"},
 		{"-target", "http://x", "-mix", "sameset=0"},
@@ -59,7 +84,7 @@ func TestParseMixPartial(t *testing.T) {
 	}
 }
 
-// TestRunAgainstLiveServer drives the full loadgen loop against an
+// TestRunAgainstLiveServer drives the closed loop against an
 // in-process serve.Server for a short burst and checks the report is
 // coherent: requests flowed, no errors, percentiles ordered.
 func TestRunAgainstLiveServer(t *testing.T) {
@@ -81,6 +106,9 @@ func TestRunAgainstLiveServer(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatalf("report is not JSON: %v\n%s", err, out.String())
 	}
+	if rep.Mode != "closed" || rep.OfferedRate != 0 || rep.Targets != nil {
+		t.Errorf("closed-loop single-target fields wrong: %+v", rep)
+	}
 	if rep.Requests == 0 || rep.ReqPerSec <= 0 {
 		t.Errorf("no load generated: %+v", rep)
 	}
@@ -96,6 +124,43 @@ func TestRunAgainstLiveServer(t *testing.T) {
 	}
 	if perScenario != rep.Requests {
 		t.Errorf("scenario counts sum to %d, want %d", perScenario, rep.Requests)
+	}
+}
+
+// TestMultiTargetRun spreads one run over two live servers by weight:
+// the report carries a per-target block whose counts add up to the
+// aggregate and follow the 2:1 ring.
+func TestMultiTargetRun(t *testing.T) {
+	list, err := dataset.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := httptest.NewServer(serve.New(list))
+	defer a.Close()
+	b := httptest.NewServer(serve.New(list))
+	defer b.Close()
+	var out bytes.Buffer
+	err = run(context.Background(), []string{
+		"-target", a.URL + "=2," + b.URL, "-workers", "1", "-duration", "300ms", "-json",
+	}, &out)
+	if err != nil {
+		t.Fatalf("run: %v (output %q)", err, out.String())
+	}
+	var rep Report
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Targets) != 2 || rep.Targets[0].Target != a.URL || rep.Targets[0].Weight != 2 || rep.Targets[1].Target != b.URL {
+		t.Fatalf("targets = %+v", rep.Targets)
+	}
+	ta, tb := rep.Targets[0].Requests, rep.Targets[1].Requests
+	if ta+tb != rep.Requests || rep.Errors != 0 {
+		t.Errorf("per-target %d+%d requests, aggregate %d (%d errors)", ta, tb, rep.Requests, rep.Errors)
+	}
+	// One worker walks the ring a,a,b: a gets twice b's share, give or
+	// take the walk's last partial lap.
+	if ta < 2*tb || ta > 2*tb+2 {
+		t.Errorf("weight 2:1 split as %d:%d", ta, tb)
 	}
 }
 
