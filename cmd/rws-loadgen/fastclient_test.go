@@ -3,6 +3,8 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
 	"net"
 	"net/http"
@@ -11,6 +13,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"rwskit/internal/dataset"
+	"rwskit/internal/serve"
 )
 
 // fastTestServer exercises every framing the client must parse: a
@@ -195,5 +200,71 @@ func TestParseHex(t *testing.T) {
 		if (err == nil) != tc.ok || got != tc.want {
 			t.Errorf("parseHex(%q) = %d, %v", tc.in, got, err)
 		}
+	}
+}
+
+// connCountingTarget is liveTarget with a count of the connections the
+// server accepted.
+func connCountingTarget(t *testing.T) (*httptest.Server, *atomic.Int64) {
+	t.Helper()
+	list, err := dataset.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var conns atomic.Int64
+	ts := httptest.NewUnstartedServer(serve.New(list))
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	return ts, &conns
+}
+
+// runLoadJSON runs the load generator with args against ts and decodes
+// its JSON report.
+func runLoadJSON(t *testing.T, args ...string) Report {
+	t.Helper()
+	var out bytes.Buffer
+	if err := run(context.Background(), append(args, "-json"), &out); err != nil {
+		t.Fatalf("run: %v (output %q)", err, out.String())
+	}
+	var rep Report
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// TestOpenLoopFast: the built-in client carries an open-loop run with
+// 100-pair chunked batch responses on one kept-alive connection per
+// worker.
+func TestOpenLoopFast(t *testing.T) {
+	ts, conns := connCountingTarget(t)
+	rep := runLoadJSON(t,
+		"-target", ts.URL, "-workers", "2", "-duration", "300ms",
+		"-rate", "400", "-batch", "100",
+		"-mix", "sameset=2,set=2,partition=1,batch=1",
+	)
+	if rep.Mode != "open" || rep.Requests == 0 || rep.Errors != 0 {
+		t.Errorf("fast open loop: %+v", rep)
+	}
+	if n := conns.Load(); n < 1 || n > 2 {
+		t.Errorf("server accepted %d connections for %d requests from 2 workers, want 1 or 2", n, rep.Requests)
+	}
+}
+
+// TestClosedLoopFast: the built-in client carries the default closed
+// loop too, again on one kept-alive connection per worker.
+func TestClosedLoopFast(t *testing.T) {
+	ts, conns := connCountingTarget(t)
+	rep := runLoadJSON(t, "-target", ts.URL, "-workers", "2", "-duration", "200ms")
+	if rep.Mode != "closed" || rep.Requests == 0 || rep.Errors != 0 {
+		t.Errorf("fast closed loop: %+v", rep)
+	}
+	if n := conns.Load(); n < 1 || n > 2 {
+		t.Errorf("server accepted %d connections for %d requests from 2 workers, want 1 or 2", n, rep.Requests)
 	}
 }
